@@ -1,11 +1,14 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench fuzz-smoke oracle-check obs-smoke engine-smoke cancel-smoke codec-smoke serve-smoke metrics-smoke mcmm-smoke adaptive-smoke
+.PHONY: ci vet build test race bench fuzz-smoke oracle-check obs-smoke engine-smoke cancel-smoke codec-smoke serve-smoke metrics-smoke mcmm-smoke
 
-ci: vet build test race fuzz-smoke obs-smoke engine-smoke cancel-smoke codec-smoke serve-smoke metrics-smoke mcmm-smoke adaptive-smoke oracle-check
+ci: vet build test race fuzz-smoke obs-smoke engine-smoke cancel-smoke codec-smoke serve-smoke metrics-smoke mcmm-smoke oracle-check
 
+# vet also fails on any tracked Go file that gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	test -z "$$unformatted" || { echo "gofmt needed:"; echo "$$unformatted"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -21,7 +24,7 @@ test:
 # root-package corner-set equivalence/MCMM tests, which drive the concurrent
 # per-corner propagation through the schedulers end to end.
 race:
-	$(GO) test -race ./internal/timing ./internal/core ./internal/obs ./internal/engine ./internal/flow ./internal/graphio ./internal/serve ./internal/adaptive
+	$(GO) test -race ./internal/timing ./internal/core ./internal/obs ./internal/engine ./internal/flow ./internal/graphio ./internal/serve
 	$(GO) test -race -run 'Corner' .
 
 bench:
@@ -209,23 +212,3 @@ metrics-smoke:
 	@grep -q '"route":"jobs"' $(METRICS_TMP)/access.jsonl || \
 	    { echo "metrics-smoke: access log has no jobs-route line"; cat $(METRICS_TMP)/access.jsonl; exit 1; }
 	@echo "metrics-smoke: exposition valid, counters monotonic and consistent, access log written"
-
-# Adaptive-ladder smoke: run the full design fleet through cssbench -adaptive,
-# which schedules every design with straight core and the adaptive
-# meta-scheduler (twice), verifies both assignments with the LP oracle, and
-# exits non-zero unless adaptive stays within the quality tolerance while
-# tracing no more edges, at least one ladder chained >=2 phases, and a repeat
-# run was byte-identical. The greps re-assert the merged JSON block records
-# the same verdicts.
-ADAPTIVE_TMP ?= /tmp/iterskew-adaptive-smoke
-adaptive-smoke:
-	rm -rf $(ADAPTIVE_TMP) && mkdir -p $(ADAPTIVE_TMP)
-	$(GO) build -o $(ADAPTIVE_TMP)/cssbench ./cmd/cssbench
-	$(ADAPTIVE_TMP)/cssbench -scale 0.01 -adaptive -json $(ADAPTIVE_TMP)/bench.json
-	@grep -q '"oracle_ok": true' $(ADAPTIVE_TMP)/bench.json || \
-	    { echo "adaptive-smoke: oracle verdict missing"; cat $(ADAPTIVE_TMP)/bench.json; exit 1; }
-	@grep -q '"multi_phase_seen": true' $(ADAPTIVE_TMP)/bench.json || \
-	    { echo "adaptive-smoke: no ladder chained >=2 phases"; cat $(ADAPTIVE_TMP)/bench.json; exit 1; }
-	@grep -q '"byte_stable_rerun": true' $(ADAPTIVE_TMP)/bench.json || \
-	    { echo "adaptive-smoke: rerun diverged"; cat $(ADAPTIVE_TMP)/bench.json; exit 1; }
-	@echo "adaptive-smoke: ladder engaged, oracle clean, byte-stable rerun"

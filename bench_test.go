@@ -299,19 +299,6 @@ func BenchmarkAblation_NonNegative(b *testing.B) {
 
 // --- Substrate micro-benchmarks ----------------------------------------------
 
-func BenchmarkSTA_FullUpdateParallel(b *testing.B) {
-	d := genDesign(b, "superblue18", benchScale)
-	tm, err := timing.New(d, delay.Default())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tm.FullUpdateParallel(0)
-	}
-	b.ReportMetric(float64(len(d.Pins)), "pins")
-}
-
 func BenchmarkSTA_FullUpdate(b *testing.B) {
 	d := genDesign(b, "superblue18", benchScale)
 	tm, err := timing.New(d, delay.Default())

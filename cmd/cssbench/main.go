@@ -75,7 +75,6 @@ func main() {
 	loadN := flag.Int("load", 0, "run the service load harness against -serveaddr with this many concurrent clients, then exit")
 	loadJobs := flag.Int("loadjobs", 8, "jobs per client in the -load harness")
 	cornersN := flag.Int("corners", 0, "run the multi-corner (MCMM) benchmark with this many corners instead of Table I; with -serveaddr, drive a live iterskewd and verify its corner job against the LP oracle")
-	adaptiveMode := flag.Bool("adaptive", false, "run the adaptive phase-ladder benchmark (core vs adaptive meta-scheduler, LP-oracle gated) instead of Table I")
 	flag.Parse()
 
 	if *checkTrace != "" {
@@ -152,14 +151,6 @@ func main() {
 
 	if *cornersN > 0 {
 		if err := runMCMM(*designs, *scale, *cornersN, *workers, *serveAddr, *jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *adaptiveMode {
-		if err := runAdaptive(*designs, *scale, *workers, *jsonPath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -387,9 +378,6 @@ type benchJSON struct {
 
 	// MCMM is the -corners multi-corner benchmark/smoke block.
 	MCMM *mcmmJSON `json:"mcmm,omitempty"`
-
-	// Adaptive is the -adaptive phase-ladder benchmark/smoke block.
-	Adaptive *adaptiveJSON `json:"adaptive,omitempty"`
 }
 
 // coldStartJSON is one design's compile-vs-decode measurement.

@@ -14,9 +14,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
-	"io"
 	"os"
 	"os/signal"
 	"runtime/debug"

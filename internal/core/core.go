@@ -118,23 +118,6 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 	// timing endpoints", §III-B1).
 	lastExtract := map[timing.EndpointID]float64{}
 
-	// Warm start: seed the partial graph, the frozen set and the trace
-	// filter from the donor run, so a chained phase extracts only what the
-	// donor has not already seen. The donor's frozen cells MUST stay frozen
-	// — its CycleFix invariants (edge slack == recorded mean at the end of
-	// the run) would break if a later phase raised a cycle vertex.
-	if opts.Warm != nil {
-		for _, se := range opts.Warm.Edges {
-			g.AddSeqEdge(se, isPort)
-		}
-		for _, cell := range opts.Warm.Frozen {
-			g.Freeze(g.Vertex(cell, isPortCell(d, cell)))
-		}
-		for e, s := range opts.Warm.Extracted {
-			lastExtract[e] = s
-		}
-	}
-
 	var violBuf, traceBuf []timing.EndpointID
 	var edgeBuf []timing.SeqEdge
 
@@ -226,10 +209,7 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 	stall := sched.NewStallTracker(opts.StallRounds, prevTNS)
 
 	res.StopReason = sched.StopRoundCap
-	// A warm donor whose final act was a clean forced sweep has already
-	// proven the edge set complete for the current latencies; don't pay for
-	// a second identical sweep. Any increment below resets the flag.
-	finalSweepDone := opts.Warm != nil && opts.Warm.SweepDone
+	finalSweepDone := false
 	for round := 0; round < opts.MaxRounds; round++ {
 		if r, stop := cc.Reason(); stop {
 			res.StopReason = r
@@ -299,7 +279,6 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 					minL = lat[i]
 				}
 			}
-			changed := false
 			for i, v := range cyc.Vertices {
 				l := lat[i] - minL
 				g.Freeze(v)
@@ -307,7 +286,6 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 					cell := g.Cells[v]
 					tm.AddExtraLatency(cell, l)
 					res.Target[cell] += l
-					changed = true
 					st.Raised++
 					if l > st.MaxInc {
 						st.MaxInc = l
@@ -318,7 +296,6 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 			st.WNS, st.TNS = tm.WNSTNS(opts.Mode)
 			res.PerIter = append(res.PerIter, st)
 			res.Rounds = round + 1
-			_ = changed
 			// Cycle rounds refresh the stall baseline: the Eq-9 equalization
 			// redistributes slack without necessarily moving TNS, so the next
 			// round must measure its gain against the post-freeze state — but
@@ -336,7 +313,7 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 		psp := rec.StartSpan(obs.SpanRoundPasses).WithReq(req)
 		head := HeadroomFunc(tm, g, opts, res.Target)
 		lmax := PassOne(g, forest, w, essential, head)
-		inc, capped := PassTwo(g, forest, w, essential, lmax)
+		inc, capped := PassTwo(g, w, essential, lmax)
 		for _, c := range capped {
 			if c {
 				st.Clamped++
@@ -413,22 +390,6 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 	}
 
 	res.EdgesExtracted = len(g.Edges)
-	if opts.CollectWarm {
-		w := &sched.Warm{
-			Edges:     make([]timing.SeqEdge, len(g.Edges)),
-			Extracted: lastExtract,
-			SweepDone: finalSweepDone,
-		}
-		for i := range g.Edges {
-			w.Edges[i] = g.Edges[i].Seq
-		}
-		for v, fr := range g.Frozen {
-			if fr && !g.IsPort[v] {
-				w.Frozen = append(w.Frozen, g.Cells[v])
-			}
-		}
-		res.Warm = w
-	}
 	res.Elapsed = time.Since(start)
 	runSp.EndArg2("rounds", int64(res.Rounds), "edges", int64(res.EdgesExtracted))
 	return res, nil
@@ -579,7 +540,7 @@ func PassOne(g *seqgraph.Graph, f *seqgraph.Forest, w []float64,
 // largest need among incoming edges, capped at l^max. The second return
 // value flags vertices whose need exceeded l^max — IC-CSS+ uses it to
 // trigger its constraint-edge extraction callback (§III-E ii).
-func PassTwo(g *seqgraph.Graph, f *seqgraph.Forest, w []float64,
+func PassTwo(g *seqgraph.Graph, w []float64,
 	essential func(int32) bool, lmax []float64) ([]float64, []bool) {
 
 	n := g.NumVertices()
@@ -646,6 +607,5 @@ func PassTwo(g *seqgraph.Graph, f *seqgraph.Forest, w []float64,
 			assign(seqgraph.VertexID(v))
 		}
 	}
-	_ = f
 	return l, capped
 }

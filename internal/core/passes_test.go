@@ -61,7 +61,7 @@ func TestFigure6TwoPass(t *testing.T) {
 	check("c", c, 6)
 	check("f", f, 2)
 
-	l, _ := PassTwo(g, forest, w, func(int32) bool { return true }, lmax)
+	l, _ := PassTwo(g, w, func(int32) bool { return true }, lmax)
 	checkL := func(name string, v seqgraph.VertexID, want float64) {
 		t.Helper()
 		if math.Abs(l[v]-want) > 1e-9 {
@@ -101,7 +101,7 @@ func TestPassOneRootsPinnedAtZero(t *testing.T) {
 	if !math.IsInf(lmax[g.Lookup(2)], 1) {
 		t.Errorf("sink with infinite headroom: lmax = %v", lmax[g.Lookup(2)])
 	}
-	l, _ := PassTwo(g, forest, w, func(int32) bool { return true }, lmax)
+	l, _ := PassTwo(g, w, func(int32) bool { return true }, lmax)
 	if l[g.Lookup(2)] != 7 {
 		t.Errorf("l(head) = %v, want 7", l[g.Lookup(2)])
 	}
@@ -118,7 +118,7 @@ func TestPassTwoHonorsFrozen(t *testing.T) {
 	forest, _ := g.BuildForest(w, nil, math.Inf(1))
 	head := func(seqgraph.VertexID) float64 { return math.Inf(1) }
 	lmax := PassOne(g, forest, w, func(int32) bool { return true }, head)
-	l, _ := PassTwo(g, forest, w, func(int32) bool { return true }, lmax)
+	l, _ := PassTwo(g, w, func(int32) bool { return true }, lmax)
 	if l[v2] != 0 {
 		t.Errorf("frozen vertex got latency %v", l[v2])
 	}
@@ -157,7 +157,7 @@ func TestPassesNonNegative(t *testing.T) {
 		head := func(v seqgraph.VertexID) float64 { return hr[v] }
 		all := func(int32) bool { return true }
 		lmax := PassOne(g, forest, w, all, head)
-		l, _ := PassTwo(g, forest, w, all, lmax)
+		l, _ := PassTwo(g, w, all, lmax)
 		for v := 0; v < g.NumVertices(); v++ {
 			if l[v] < 0 || math.IsNaN(l[v]) || math.IsInf(l[v], 0) {
 				t.Fatalf("seed %d: bad latency %v", seed, l[v])

@@ -36,8 +36,7 @@ const eps = 1e-6
 // Options configures an IC-CSS+ run: the shared scheduler options. IC-CSS+
 // consumes Mode, Context/Deadline, MaxRounds, StallRounds, LatencyUB,
 // Workers, Recorder, Progress and Log; the remaining fields (Margin,
-// LatencyLB, DisableHeadroom, Warm/CollectWarm) are core-specific and
-// ignored here.
+// LatencyLB, DisableHeadroom) are core-specific and ignored here.
 type Options = sched.Options
 
 // Result is the shared scheduler result; IC-CSS+ additionally fills
@@ -405,7 +404,7 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 		for inner := 0; inner < 4; inner++ {
 			lmax := core.PassOne(g, forest, w, include, headroom)
 			var capped []bool
-			inc, capped = core.PassTwo(g, forest, w, include, lmax)
+			inc, capped = core.PassTwo(g, w, include, lmax)
 			trigger := false
 			for v := range capped {
 				if capped[v] && inc[v] > eps && !constraintDone[g.Cells[v]] && !g.IsPort[seqgraph.VertexID(v)] {

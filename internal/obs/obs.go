@@ -43,7 +43,7 @@ const (
 	CtrTimerDirtyFFs                   // dirty flip-flops drained by Update
 	CtrTimerDirtyCells                 // dirty cells drained by Update
 	CtrTimerLevels                     // non-empty level buckets swept
-	CtrTimerFullUpdates                // FullUpdate / FullUpdateParallel calls
+	CtrTimerFullUpdates                // FullUpdate calls
 
 	// Batch sequential-edge extraction.
 	CtrExtractBatches // batch extraction calls
@@ -70,11 +70,6 @@ const (
 	CtrServeRejected  // requests refused with 429 (all session slots busy)
 	CtrServeCancelled // jobs stopped early by client disconnect or timeout
 	CtrServeStreams   // jobs that streamed round progress as JSONL
-
-	// Adaptive meta-scheduler (internal/adaptive).
-	CtrAdaptivePhases      // ladder phases executed
-	CtrAdaptiveEscalations // escalations to the IC-CSS+ rung
-	CtrAdaptiveReverts     // phases rolled back for regressing TNS
 
 	numCounters
 )
@@ -104,10 +99,6 @@ var counterNames = [numCounters]string{
 	CtrServeRejected:    "serve_rejected",
 	CtrServeCancelled:   "serve_cancelled",
 	CtrServeStreams:     "serve_streams",
-
-	CtrAdaptivePhases:      "adaptive_phases",
-	CtrAdaptiveEscalations: "adaptive_escalations",
-	CtrAdaptiveReverts:     "adaptive_reverts",
 }
 
 // String returns the counter's snake_case name (also its expvar key).

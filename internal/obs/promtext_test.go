@@ -185,7 +185,7 @@ func TestMetricsHandler(t *testing.T) {
 func TestParseExpositionRejects(t *testing.T) {
 	cases := map[string]string{
 		"malformed sample": "what even is this {",
-		"no type": "lone_metric 3\n",
+		"no type":          "lone_metric 3\n",
 		"non-cumulative buckets": "# TYPE h histogram\n" +
 			`h_bucket{le="1"} 5` + "\n" +
 			`h_bucket{le="2"} 3` + "\n" +

@@ -17,7 +17,7 @@ type SpanKind int
 // Perfetto's search.
 const (
 	SpanTimerUpdate     SpanKind = iota // one incremental Timer.Update
-	SpanTimerFullUpdate                 // one FullUpdate / FullUpdateParallel
+	SpanTimerFullUpdate                 // one FullUpdate
 	SpanExtractBatch                    // one batch extraction call
 	SpanExtractWorker                   // one worker's share of a batch
 	SpanRound                           // one update-extract scheduling round

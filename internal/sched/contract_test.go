@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"iterskew/internal/adaptive"
 	"iterskew/internal/bench"
 	"iterskew/internal/core"
 	"iterskew/internal/delay"
@@ -40,9 +39,9 @@ func contractTimer(t testing.TB, d *netlist.Design) *timing.Timer {
 	return tm
 }
 
-// schedulers is the table every contract case iterates: all three base
-// algorithms plus the adaptive meta-scheduler, with the per-implementation
-// quirks the shared Options contract permits spelled out.
+// schedulers is the table every contract case iterates: all three
+// algorithms, with the per-implementation quirks the shared Options contract
+// permits spelled out.
 var schedulers = []struct {
 	name    string
 	s       sched.Scheduler
@@ -53,7 +52,6 @@ var schedulers = []struct {
 	{name: "core", s: core.Scheduler, mode: timing.Late, stalls: true},
 	{name: "iccss", s: iccss.Scheduler, mode: timing.Late, stalls: true},
 	{name: "fpm", s: fpm.Scheduler, mode: timing.Early, oneShot: true},
-	{name: "adaptive", s: adaptive.Default, mode: timing.Late, stalls: true},
 }
 
 // TestProgressAndLogContract verifies the per-round Options contract every

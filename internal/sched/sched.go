@@ -157,44 +157,11 @@ type Options struct {
 	// an explanation line for every termination decision (stall guard,
 	// convergence, round cap), so StallRounds stops are explainable.
 	Log io.Writer
-	// Warm, when non-nil, seeds the run's extraction state from a donor run
-	// (consumed by core): the donor's essential edges enter the partial graph
-	// before round 0, its frozen cycle cells stay frozen, and its
-	// endpoint-trace filter carries over, so a chained phase re-traces only
-	// endpoints whose slack moved since the donor last looked. The adaptive
-	// meta-scheduler uses this to hand the edge set from phase to phase
-	// instead of re-extracting from scratch.
-	Warm *Warm
-	// CollectWarm asks the scheduler to fill Result.Warm with the run's final
-	// extraction state so a follow-up run can warm-start from it.
-	CollectWarm bool
 }
 
-// Warm is the extraction state handed from one scheduling run to the next
-// (Options.Warm in, Result.Warm out).
-type Warm struct {
-	// Edges is the donor's essential-edge set (deduplicated).
-	Edges []timing.SeqEdge
-	// Frozen lists the non-port cells frozen by the donor's Eq-9 cycle
-	// fixes. A warmed run must keep them frozen: raising one would break the
-	// donor's recorded CycleFix invariant (every cycle edge's slack equals
-	// the recorded mean at the end of the overall run).
-	Frozen []netlist.CellID
-	// Extracted maps each endpoint the donor traced to its slack at trace
-	// time — the "newly violated" filter state of §III-B1, so a warmed run
-	// skips endpoints whose slack has not moved since.
-	Extracted map[timing.EndpointID]float64
-	// SweepDone is true when the donor's last act was a clean forced
-	// extraction sweep (no latency change since). A warmed run may then
-	// trust that sweep instead of re-tracing every violating endpoint's
-	// cone before declaring convergence; any increment it applies
-	// invalidates the flag again, exactly as within a single run.
-	SweepDone bool
-}
-
-// StallTracker implements the Options.StallRounds semantics shared by core,
-// iccss and the adaptive meta-scheduler: a round makes progress when its TNS
-// gain over the previous round's baseline is at least max(1 ps, 0.01%·|TNS|).
+// StallTracker implements the Options.StallRounds semantics shared by core
+// and iccss: a round makes progress when its TNS gain over the previous
+// round's baseline is at least max(1 ps, 0.01%·|TNS|).
 // Cycle-freezing rounds refresh the baseline (Eq-9 equalization can
 // redistribute slack without moving TNS, so the following round must not be
 // measured against a stale pre-freeze value) but never count toward the
@@ -386,49 +353,13 @@ type Result struct {
 	CriticalVerts int
 	// ConstraintExts counts constraint-edge callback invocations (iccss).
 	ConstraintExts int
-	// PerIter is the per-round trajectory (core and adaptive schedulers).
+	// PerIter is the per-round trajectory (core scheduler only).
 	PerIter []IterStats
 	// Elapsed is the wall-clock scheduling time.
 	Elapsed time.Duration
 	// Graph is the final partial sequential graph (exposed for inspection
 	// and tests).
 	Graph *seqgraph.Graph
-	// Warm is the run's final extraction state, filled when
-	// Options.CollectWarm is set (core scheduler).
-	Warm *Warm
-	// Phases is the per-phase breakdown of a meta-scheduling run (adaptive
-	// scheduler only); base schedulers leave it nil.
-	Phases []Phase
-}
-
-// Phase records one rung of a meta-scheduling run: which scheduler ran,
-// what it cost, and what the meta-policy observed when deciding what to do
-// next. Round numbers in the merged Result.PerIter are globally renumbered,
-// so Rounds here is the phase's own count.
-type Phase struct {
-	// Name is the ladder rung: "fpm", "ours-early", "ours", "iccss+".
-	Name string
-	// Scheduler is the underlying implementation: "fpm", "core", "iccss".
-	Scheduler string
-	// Rounds is the number of rounds the phase executed (1 for fpm's
-	// one-shot pass).
-	Rounds int
-	// EdgesExtracted is the number of NEW unique sequential edges this phase
-	// added beyond its warm-start seed.
-	EdgesExtracted int
-	// StopReason is the phase's own termination cause.
-	StopReason StopReason
-	// WNS/TNS are the mode-specific worst/total negative slack after the
-	// phase.
-	WNS, TNS float64
-	// GainTNS is the TNS improvement the phase delivered (TNS after minus
-	// TNS before; positive is better).
-	GainTNS float64
-	// Reverted reports that the meta-policy rolled the phase's latencies
-	// back because it regressed TNS; its extraction cost still counts.
-	Reverted bool
-	// Elapsed is the phase's wall-clock time.
-	Elapsed time.Duration
 }
 
 // TimingView is the slack/extract/apply-latency surface the schedulers

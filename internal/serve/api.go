@@ -6,7 +6,6 @@ import (
 	"math"
 	"strconv"
 
-	"iterskew/internal/adaptive"
 	"iterskew/internal/engine"
 	"iterskew/internal/graphio"
 	"iterskew/internal/netlist"
@@ -59,12 +58,8 @@ type GraphInfo struct {
 // period to convergence.
 type JobSpec struct {
 	// Scheduler selects the CSS implementation: "core" (default), "iccss",
-	// "fpm", or "adaptive" (the feedback-guided phase ladder).
+	// or "fpm".
 	Scheduler string `json:"scheduler,omitempty"`
-	// Adaptive, when present, overrides the adaptive meta-scheduler's
-	// per-phase budgets and gates. Setting it with any other scheduler is a
-	// 400.
-	Adaptive *AdaptiveSpec `json:"adaptive,omitempty"`
 	// Mode is "early" (default) or "late".
 	Mode string `json:"mode,omitempty"`
 	// PeriodPS, when nonzero, retimes this session to a what-if clock period.
@@ -95,72 +90,8 @@ type JobSpec struct {
 	Stream bool `json:"stream,omitempty"`
 }
 
-// AdaptiveSpec is the wire form of the adaptive meta-scheduler's policy
-// knobs (adaptive.Config): absent/zero fields take the scheduler defaults,
-// negative values carry the documented "disable" semantics of the
-// corresponding Config field.
-type AdaptiveSpec struct {
-	// ProbeRounds is the round budget of one "ours-early" probe slice.
-	ProbeRounds int `json:"probe_rounds,omitempty"`
-	// ProbeStall is the stall guard inside probe slices (negative disables).
-	ProbeStall int `json:"probe_stall,omitempty"`
-	// MaxProbes caps the probe slices before full slices (negative: none).
-	MaxProbes int `json:"max_probes,omitempty"`
-	// SliceRounds is the round budget of one full "ours" slice.
-	SliceRounds int `json:"slice_rounds,omitempty"`
-	// PlateauFrac / PlateauAbs set the gain-per-round plateau bar
-	// max(PlateauAbs, PlateauFrac·|TNS|); PlateauFrac<0 disables the rule.
-	PlateauFrac float64 `json:"plateau_frac,omitempty"`
-	PlateauAbs  float64 `json:"plateau_abs,omitempty"`
-	// DenseFrac gates the fpm rung on early-mode violation density
-	// (negative: always take the rung).
-	DenseFrac float64 `json:"dense_frac,omitempty"`
-	// DisableFPM / DisableICCSS cut the ladder's bottom and top rungs.
-	DisableFPM   bool `json:"disable_fpm,omitempty"`
-	DisableICCSS bool `json:"disable_iccss,omitempty"`
-}
-
-// config validates the wire knobs and converts them to the scheduler's
-// Config. Non-finite floats are client errors; negatives pass through with
-// their documented meanings.
-func (a *AdaptiveSpec) config() (adaptive.Config, error) {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"plateau_frac", a.PlateauFrac}, {"plateau_abs", a.PlateauAbs}, {"dense_frac", a.DenseFrac}} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return adaptive.Config{}, fmt.Errorf("adaptive: %s %v must be finite", f.name, f.v)
-		}
-	}
-	return adaptive.Config{
-		ProbeRounds: a.ProbeRounds,
-		ProbeStall:  a.ProbeStall,
-		MaxProbes:   a.MaxProbes,
-		SliceRounds: a.SliceRounds,
-		PlateauFrac: a.PlateauFrac,
-		PlateauAbs:  a.PlateauAbs,
-		DenseFrac:   a.DenseFrac,
-		DisableFPM:  a.DisableFPM, DisableICCSS: a.DisableICCSS,
-	}, nil
-}
-
-// PhaseInfo is one rung of an adaptive job's phase breakdown.
+// PhaseInfo is the element type of JobResponse.Phases.
 type PhaseInfo struct {
-	// Name is the rung: "fpm", "ours-early", "ours", or "iccss+".
-	Name string `json:"name"`
-	// Scheduler is the underlying implementation the rung ran.
-	Scheduler string `json:"scheduler"`
-	// Rounds and EdgesExtracted are the rung's own share of the totals.
-	Rounds         int    `json:"rounds"`
-	EdgesExtracted int    `json:"edges_extracted"`
-	StopReason     string `json:"stop_reason"`
-	// WNSPS/TNSPS are the objective-mode slacks after the rung; GainTNSPS is
-	// its TNS improvement.
-	WNSPS     float64 `json:"wns_ps"`
-	TNSPS     float64 `json:"tns_ps"`
-	GainTNSPS float64 `json:"gain_tns_ps"`
-	// Reverted marks an escalation rung whose latencies were rolled back.
-	Reverted  bool    `json:"reverted,omitempty"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
@@ -220,7 +151,7 @@ type JobResponse struct {
 	// did real multi-corner work on this job.
 	CornerDiffRounds int `json:"corner_diff_rounds,omitempty"`
 
-	// Phases, on adaptive jobs, breaks the run down per ladder rung.
+	// Phases is never filled; it stays so existing clients keep compiling.
 	Phases []PhaseInfo `json:"phases,omitempty"`
 
 	// Target maps flip-flop cell ID (decimal string) → scheduled extra

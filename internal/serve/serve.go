@@ -38,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"iterskew/internal/adaptive"
 	"iterskew/internal/core"
 	"iterskew/internal/delay"
 	"iterskew/internal/engine"
@@ -132,10 +131,9 @@ func New(cfg Config) *Server {
 		slots:       make(chan struct{}, n),
 		engines:     map[graphio.Hash]*engine.Engine{},
 		scheds: map[string]sched.Scheduler{
-			"core":     core.Scheduler,
-			"iccss":    iccss.Scheduler,
-			"fpm":      fpm.Scheduler,
-			"adaptive": adaptive.Default,
+			"core":  core.Scheduler,
+			"iccss": iccss.Scheduler,
+			"fpm":   fpm.Scheduler,
 		},
 	}
 	for name, sc := range cfg.Schedulers {
@@ -331,19 +329,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "unknown scheduler "+name)
 		return
 	}
-	if spec.Adaptive != nil {
-		if name != "adaptive" {
-			writeErr(w, r, http.StatusBadRequest,
-				"adaptive config requires scheduler \"adaptive\", got "+strconv.Quote(name))
-			return
-		}
-		cfg, err := spec.Adaptive.config()
-		if err != nil {
-			writeErr(w, r, http.StatusBadRequest, err.Error())
-			return
-		}
-		scheduler = adaptive.New(cfg)
-	}
 	mode, err := parseMode(spec.Mode)
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, err.Error())
@@ -504,7 +489,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		TNSLatePS:        qor.TNSLate,
 		Corners:          cornerRes,
 		CornerDiffRounds: cornerDiff,
-		Phases:           phaseWire(res.Phases),
 		Target:           targetWire(res.Target),
 	}
 	if stream != nil {
@@ -549,30 +533,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	io.WriteString(w, "ok\n")
-}
-
-// phaseWire converts an adaptive run's phase breakdown to its wire form
-// (nil for the single-phase schedulers, so the field stays absent).
-func phaseWire(phases []sched.Phase) []PhaseInfo {
-	if len(phases) == 0 {
-		return nil
-	}
-	out := make([]PhaseInfo, len(phases))
-	for i, ph := range phases {
-		out[i] = PhaseInfo{
-			Name:           ph.Name,
-			Scheduler:      ph.Scheduler,
-			Rounds:         ph.Rounds,
-			EdgesExtracted: ph.EdgesExtracted,
-			StopReason:     ph.StopReason.String(),
-			WNSPS:          ph.WNS,
-			TNSPS:          ph.TNS,
-			GainTNSPS:      ph.GainTNS,
-			Reverted:       ph.Reverted,
-			ElapsedMS:      float64(ph.Elapsed.Nanoseconds()) / 1e6,
-		}
-	}
-	return out
 }
 
 // targetWire converts a schedule to its wire form (decimal cell IDs).

@@ -253,6 +253,8 @@ func TestAPIErrors(t *testing.T) {
 		{"job-malformed-json", "POST", "/v1/graphs/" + goodHandle + "/jobs", "{", http.StatusBadRequest, "job spec"},
 		{"job-unknown-field", "POST", "/v1/graphs/" + goodHandle + "/jobs", `{"schedular":"core"}`, http.StatusBadRequest, "job spec"},
 		{"job-unknown-scheduler", "POST", "/v1/graphs/" + goodHandle + "/jobs", `{"scheduler":"magic"}`, http.StatusBadRequest, "unknown scheduler"},
+		{"job-removed-scheduler", "POST", "/v1/graphs/" + goodHandle + "/jobs", `{"scheduler":"adaptive"}`, http.StatusBadRequest, "unknown scheduler"},
+		{"job-removed-field", "POST", "/v1/graphs/" + goodHandle + "/jobs", `{"scheduler":"adaptive","adaptive":{"probe_rounds":3}}`, http.StatusBadRequest, "job spec"},
 		{"job-unknown-mode", "POST", "/v1/graphs/" + goodHandle + "/jobs", `{"mode":"sideways"}`, http.StatusBadRequest, "unknown mode"},
 		{"job-negative-period", "POST", "/v1/graphs/" + goodHandle + "/jobs", `{"period_ps":-10}`, http.StatusBadRequest, "period"},
 		{"info-unknown-handle", "GET", "/v1/graphs/" + unknownHandle, "", http.StatusNotFound, "unknown graph handle"},

@@ -42,8 +42,8 @@ type Graph struct {
 	endpointOf []EndpointID // cell -> endpoint (-1 if none)
 	ffIdx      []int32      // cell -> FF index (-1 if not a FF)
 
-	// Topological order grouped by level, for level-synchronized parallel
-	// propagation.
+	// Topological order grouped by level; Slabs derives the codec's bucket
+	// offsets from it.
 	lvlBuckets [][]netlist.PinID
 
 	// Pristine post-compile analysis snapshot: the result of a full update

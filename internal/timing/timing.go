@@ -619,7 +619,7 @@ func (t *Timer) seedBwd(p netlist.PinID) {
 }
 
 // parallelBucketMin is the minimum level-bucket size worth fanning out to
-// the worker pool (matches FullUpdateParallel's threshold).
+// the worker pool.
 const parallelBucketMin = 64
 
 // changedScratch returns the reusable per-bucket changed-flag scratch,

@@ -30,7 +30,6 @@ import (
 	"io"
 	"net/http"
 
-	"iterskew/internal/adaptive"
 	"iterskew/internal/bench"
 	"iterskew/internal/core"
 	"iterskew/internal/cts"
@@ -119,12 +118,6 @@ type (
 	FPMOptions = fpm.Options
 	// FPMResult is the FPM outcome.
 	FPMResult = fpm.Result
-	// AdaptiveConfig tunes the adaptive meta-scheduler's phase ladder
-	// (probe/slice budgets, plateau bar, rung gates).
-	AdaptiveConfig = adaptive.Config
-	// SchedulePhase is one rung of an adaptive run's phase breakdown
-	// (ScheduleResult.Phases).
-	SchedulePhase = sched.Phase
 
 	// OptimizeOptions configures the §IV physical realization.
 	OptimizeOptions = opt.Options
@@ -302,23 +295,7 @@ var (
 	ICCSSScheduler Scheduler = iccss.Scheduler
 	// FPMScheduler is the FPM baseline (early violations only).
 	FPMScheduler Scheduler = fpm.Scheduler
-	// AdaptiveScheduler is the feedback-guided meta-scheduler with default
-	// policy: it climbs FPM → Ours-Early → Ours → IC-CSS+ as cheap phases
-	// plateau, warm-starting each phase from the previous one's extraction.
-	AdaptiveScheduler Scheduler = adaptive.Default
 )
-
-// NewAdaptiveScheduler builds an adaptive meta-scheduler with custom policy
-// knobs (zero-value fields take the defaults).
-func NewAdaptiveScheduler(cfg AdaptiveConfig) Scheduler { return adaptive.New(cfg) }
-
-// ScheduleAdaptive runs the adaptive phase ladder with default policy and
-// leaves the merged latencies applied on the view. The result's Phases field
-// breaks the run down per rung. Degenerate designs return a
-// *DegenerateInputError.
-func ScheduleAdaptive(tm TimingView, o ScheduleOptions) (*ScheduleResult, error) {
-	return adaptive.Schedule(tm, o)
-}
 
 // DegenerateInputError is returned by the schedulers for inputs that clock
 // skew scheduling cannot meaningfully process: zero-FF designs, non-positive

@@ -12,55 +12,6 @@ import (
 	"iterskew/internal/timing"
 )
 
-// TestParallelSTAEquivalenceAtScale verifies parallel and serial full
-// propagation agree on a generated design large enough to engage the
-// per-level worker chunks.
-func TestParallelSTAEquivalenceAtScale(t *testing.T) {
-	p, err := iterskew.SuperblueProfile("superblue18", 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := iterskew.GenerateBenchmark(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := timing.New(d, delay.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := timing.New(d, delay.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Perturb latencies identically, then fully re-propagate both ways.
-	for i, ff := range d.FFs {
-		if i%7 == 0 {
-			serial.SetExtraLatency(ff, float64(i%97))
-			par.SetExtraLatency(ff, float64(i%97))
-		}
-	}
-	serial.FullUpdate()
-	par.FullUpdateParallel(8)
-
-	for e := range serial.Endpoints() {
-		s1 := serial.LateSlack(timing.EndpointID(e))
-		s2 := par.LateSlack(timing.EndpointID(e))
-		if math.Abs(s1-s2) > 1e-9 && !(math.IsInf(s1, 1) && math.IsInf(s2, 1)) {
-			t.Fatalf("endpoint %d late slack: serial %v vs parallel %v", e, s1, s2)
-		}
-		e1 := serial.EarlySlack(timing.EndpointID(e))
-		e2 := par.EarlySlack(timing.EndpointID(e))
-		if math.Abs(e1-e2) > 1e-9 && !(math.IsInf(e1, 1) && math.IsInf(e2, 1)) {
-			t.Fatalf("endpoint %d early slack: serial %v vs parallel %v", e, e1, e2)
-		}
-	}
-	w1, t1 := serial.WNSTNS(timing.Late)
-	w2, t2 := par.WNSTNS(timing.Late)
-	if math.Abs(w1-w2) > 1e-9 || math.Abs(t1-t2) > 1e-9 {
-		t.Fatalf("WNS/TNS mismatch: %v/%v vs %v/%v", w1, t1, w2, t2)
-	}
-}
-
 // equivSeeds are the generator-seed offsets the byte-identity suites sweep.
 var equivSeeds = []int64{0, 101, 202, 303, 404}
 
