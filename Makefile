@@ -28,7 +28,7 @@ race:
 	$(GO) test -race -run 'Corner' .
 
 bench:
-	$(GO) test -bench 'ExtractEssentialBatch|IncrementalUpdate|CSRPropagation' -benchmem .
+	$(GO) test -bench 'ExtractEssentialBatch|IncrementalUpdate|CSRPropagation|Optimize' -benchmem .
 
 # Short coverage-guided runs of both fuzz targets: every scheduler and every
 # extraction primitive over mutated generator seeds. Any panic, invariant

@@ -201,6 +201,7 @@ func GuideTree(tm *timing.Timer, targets map[netlist.CellID]float64, o Options) 
 			if bestLCB == netlist.NoCell {
 				continue
 			}
+			tm.Checkpoint()
 			net := d.Pins[d.LCBOut(bestLCB)].Net
 			d.MovePinToNet(d.FFClock(ff), net)
 			tm.DirtyCell(ff)
@@ -209,13 +210,10 @@ func GuideTree(tm *timing.Timer, targets map[netlist.CellID]float64, o Options) 
 			tm.Update()
 			if math.Abs(tm.BaseLatency(ff)-desired[ff]) > curErr+1e-9 {
 				// Worse in reality: revert.
-				old := d.Pins[d.LCBOut(cur)].Net
-				d.MovePinToNet(d.FFClock(ff), old)
-				tm.DirtyCell(ff)
-				tm.DirtyCell(cur)
-				tm.DirtyCell(bestLCB)
-				tm.Update()
+				d.MovePinToNet(d.FFClock(ff), d.Pins[d.LCBOut(cur)].Net)
+				tm.Rollback()
 			} else {
+				tm.Commit()
 				res.Moved++
 			}
 		}

@@ -2,9 +2,12 @@ package flow
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"iterskew/internal/bench"
+	"iterskew/internal/netlist"
+	"iterskew/internal/sched"
 	"iterskew/internal/timing"
 )
 
@@ -170,4 +173,37 @@ func TestFlowStress(t *testing.T) {
 		t.Errorf("early TNS recovery below 80%%: %v -> %v", rep.Input.TNSEarly, rep.Final.TNSEarly)
 	}
 	_ = timing.Late
+}
+
+// TestFlowUnclockedFF: a flip-flop whose clock pin is on no net passes input
+// validation, so the full Ours flow must run to a report with it, leaving
+// the unclocked flip-flop where it is instead of indexing a missing LCB.
+func TestFlowUnclockedFF(t *testing.T) {
+	p, err := bench.Superblue("superblue18", 0.005)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := bench.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := d.FFs[0]
+	ck := d.FFClock(ff)
+	n := d.Pins[ck].Net
+	d.Nets[n].Sinks = slices.DeleteFunc(d.Nets[n].Sinks, func(s netlist.PinID) bool { return s == ck })
+	d.Pins[ck].Net = netlist.NoNet
+	if err := sched.ValidateInput(d); err != nil {
+		t.Fatalf("unclocked flip-flop rejected on input: %v", err)
+	}
+
+	rep, err := Run(d, Config{Method: Ours})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.ConstraintErrs) != 0 {
+		t.Errorf("constraints: %v", rep.ConstraintErrs)
+	}
+	if f := rep.Final; math.IsNaN(f.TNSLate) || math.IsNaN(f.TNSEarly) {
+		t.Errorf("NaN in final metrics: %+v", f)
+	}
 }

@@ -16,9 +16,6 @@ type MoveOptions struct {
 	StepFractions []float64
 	// MaxPasses bounds the sweeps over the violating endpoints (default 4).
 	MaxPasses int
-	// LateGuard rejects moves that push late WNS below this (default 0 −eps:
-	// never trade a hold fix for a new setup violation).
-	LateGuard float64
 }
 
 func (o *MoveOptions) defaults() {
@@ -41,7 +38,9 @@ type MoveResult struct {
 // MoveCells refines early violations by shifting movable cells on violating
 // paths (§IV-B). Each candidate cell is tried in the four cardinal
 // directions with a growing step; a move is kept when it lengthens the
-// violating path's min arrival without degrading late WNS.
+// violating path's min arrival and late WNS stays at or above min(0, late
+// WNS before the move): a hold fix never buys a new setup violation nor
+// deepens an existing one.
 func MoveCells(tm *timing.Timer, o MoveOptions) *MoveResult {
 	start := time.Now()
 	o.defaults()
@@ -94,8 +93,8 @@ func MoveCells(tm *timing.Timer, o MoveOptions) *MoveResult {
 	return res
 }
 
-// tryMoveCell attempts the growing-step cardinal moves for one cell; it
-// returns true if a move was kept.
+// tryMoveCell attempts the growing-step cardinal moves for one cell, each as
+// a timer trial; it returns true if a move was kept.
 func tryMoveCell(tm *timing.Timer, c netlist.CellID, e timing.EndpointID,
 	dirs []geom.Point, o MoveOptions, res *MoveResult) bool {
 
@@ -105,11 +104,8 @@ func tryMoveCell(tm *timing.Timer, c netlist.CellID, e timing.EndpointID,
 	}
 	origin := d.Cells[c].Pos
 	before := tm.EarlySlack(e)
-	lateBefore, _ := tm.WNSTNS(timing.Late)
-	guard := o.LateGuard
-	if lateBefore < guard {
-		guard = lateBefore // never make a pre-existing late situation worse
-	}
+	// WNSTNS's WNS is at most 0, so this is min(0, late WNS before).
+	guard, _ := tm.WNSTNS(timing.Late)
 
 	for _, frac := range o.StepFractions {
 		step := frac * d.MaxDisp
@@ -118,21 +114,20 @@ func tryMoveCell(tm *timing.Timer, c netlist.CellID, e timing.EndpointID,
 			if !d.MoveCell(c, target) {
 				continue // fixed, out of die, or beyond displacement budget
 			}
+			tm.Checkpoint()
 			tm.DirtyCell(c)
 			tm.Update()
 
-			after := tm.EarlySlack(e)
-			lateAfter, _ := tm.WNSTNS(timing.Late)
-			earlyOK := after > before+eps
-			lateOK := lateAfter >= guard-eps
-			if earlyOK && lateOK {
+			// Only the endpoints SlackDelta visits changed, and the rest sit
+			// at or above guard: worst ≥ guard−eps ⇔ late WNS ≥ guard−eps.
+			_, worst := tm.SlackDelta(timing.Late)
+			if tm.EarlySlack(e) > before+eps && worst >= guard-eps {
+				tm.Commit()
 				res.Moves++
 				return true // halt further movement of this cell (§IV-B)
 			}
-			// Revert.
 			d.MoveCell(c, origin)
-			tm.DirtyCell(c)
-			tm.Update()
+			tm.Rollback()
 			res.Reverted++
 		}
 	}

@@ -9,10 +9,6 @@ import (
 type Options struct {
 	Reconnect ReconnectOptions
 	Move      MoveOptions
-	// SkipMove disables the cell-movement refinement (used by late-phase
-	// optimization, where no new early violations are expected thanks to
-	// the Eq-11 headroom).
-	SkipMove bool
 }
 
 // Result aggregates the phase's statistics.
@@ -27,8 +23,6 @@ type Result struct {
 func Optimize(tm *timing.Timer, targets map[netlist.CellID]float64, o Options) *Result {
 	res := &Result{}
 	res.Reconnect = Reconnect(tm, targets, o.Reconnect)
-	if !o.SkipMove {
-		res.Move = MoveCells(tm, o.Move)
-	}
+	res.Move = MoveCells(tm, o.Move)
 	return res
 }

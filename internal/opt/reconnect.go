@@ -66,8 +66,11 @@ type ReconnectResult struct {
 // flip-flop (largest target first) it picks the LCB whose reconnection cost
 // (Eq 15 plus induced impact) is lowest, within the fanout and
 // once-per-LCB constraints. Predictive latencies are cleared up front, so
-// every decision — and the per-move TNS guard that reverts harmful
-// reconnections — is evaluated against physical reality.
+// every decision is evaluated against physical reality. Each reconnection
+// is a timer trial: it is kept unless SlackDelta shows it lowered either
+// mode's TNS, in which case the clock pin goes back and the timer rolls
+// back. Flip-flops whose clock pin is on no net have no LCB to leave and
+// are skipped.
 func Reconnect(tm *timing.Timer, targets map[netlist.CellID]float64, o ReconnectOptions) *ReconnectResult {
 	start := time.Now()
 	o.defaults()
@@ -78,7 +81,7 @@ func Reconnect(tm *timing.Timer, targets map[netlist.CellID]float64, o Reconnect
 	desired := map[netlist.CellID]float64{}
 	order := make([]netlist.CellID, 0, len(targets))
 	for ff, l := range targets {
-		if l < o.MinTarget {
+		if l < o.MinTarget || d.LCBofFF(ff) == netlist.NoCell {
 			continue
 		}
 		desired[ff] = tm.BaseLatency(ff) + l
@@ -96,12 +99,6 @@ func Reconnect(tm *timing.Timer, targets map[netlist.CellID]float64, o Reconnect
 		tm.SetExtraLatency(ff, 0)
 	}
 	tm.Update()
-
-	tnsPair := func() (float64, float64) {
-		_, te := tm.WNSTNS(timing.Early)
-		_, tl := tm.WNSTNS(timing.Late)
-		return te, tl
-	}
 
 	lcbUsed := map[netlist.CellID]int{}
 	ckType := func(ff netlist.CellID) float64 { return d.Cells[ff].Type.InputCap }
@@ -163,7 +160,7 @@ func Reconnect(tm *timing.Timer, targets map[netlist.CellID]float64, o Reconnect
 			continue
 		}
 
-		beforeE, beforeL := tnsPair()
+		tm.Checkpoint()
 		net := d.Pins[d.LCBOut(bestLCB)].Net
 		d.MovePinToNet(ck, net)
 		tm.DirtyCell(ff)
@@ -171,22 +168,20 @@ func Reconnect(tm *timing.Timer, targets map[netlist.CellID]float64, o Reconnect
 		tm.DirtyCell(bestLCB)
 		tm.Update()
 
-		afterE, afterL := tnsPair()
-		if afterE < beforeE-eps || afterL < beforeL-eps {
+		dE, _ := tm.SlackDelta(timing.Early)
+		dL, _ := tm.SlackDelta(timing.Late)
+		if dE < -eps || dL < -eps {
 			// The schedule said this latency helps, but physically the move
 			// hurt one corner (granularity overshoot, co-FF impact): the
 			// stage discipline of §V — improve one violation type under the
 			// other's constraints — demands a rollback.
-			oldNet := d.Pins[d.LCBOut(cur)].Net
-			d.MovePinToNet(ck, oldNet)
-			tm.DirtyCell(ff)
-			tm.DirtyCell(cur)
-			tm.DirtyCell(bestLCB)
-			tm.Update()
+			d.MovePinToNet(ck, d.Pins[d.LCBOut(cur)].Net)
+			tm.Rollback()
 			res.Reverted++
 			res.ResidualAbs += math.Abs(tm.BaseLatency(ff) - desired[ff])
 			continue
 		}
+		tm.Commit()
 		lcbUsed[bestLCB]++
 		res.Reconnected++
 		res.ResidualAbs += math.Abs(tm.BaseLatency(ff) - desired[ff])

@@ -11,7 +11,8 @@ import (
 // integration target for its fast CSS. Upsizing a gate on a setup-critical
 // path lowers its drive resistance (faster under load) at the cost of a
 // larger input load on its predecessor; the pass accepts a swap only when
-// the endpoint's measured slack improves and hold timing does not degrade.
+// the endpoint's measured slack improves and early WNS does not fall below
+// its value before the swap.
 
 // ResizeOptions tunes the sizing pass.
 type ResizeOptions struct {
@@ -19,9 +20,6 @@ type ResizeOptions struct {
 	MaxPasses int
 	// Lib resolves drive-strength variants (default netlist.StdLib()).
 	Lib *netlist.Library
-	// EarlyGuard rejects swaps that push early WNS below the pre-existing
-	// value (always enforced; the field reserves headroom, default 0).
-	EarlyGuard float64
 }
 
 // ResizeResult reports the sizing outcome.
@@ -81,9 +79,10 @@ func ResizeCells(tm *timing.Timer, o ResizeOptions) *ResizeResult {
 	return res
 }
 
-// tryUpsize attempts one drive-strength step on a cell; it keeps the swap
-// only if the endpoint's late slack improves and early WNS does not drop
-// below its pre-existing level.
+// tryUpsize attempts one drive-strength step on a cell as a timer trial: it
+// keeps the swap only if the endpoint's late slack improves and early WNS
+// does not drop below its value before the swap; otherwise it swaps back
+// and rolls the timer back.
 func tryUpsize(tm *timing.Timer, c netlist.CellID, e timing.EndpointID,
 	o ResizeOptions, res *ResizeResult) bool {
 
@@ -99,18 +98,20 @@ func tryUpsize(tm *timing.Timer, c netlist.CellID, e timing.EndpointID,
 	if !d.SwapType(c, next) {
 		return false
 	}
+	tm.Checkpoint()
 	tm.DirtyCell(c)
 	tm.Update()
 
-	after := tm.LateSlack(e)
-	earlyAfter, _ := tm.WNSTNS(timing.Early)
-	if after > before+eps && earlyAfter >= earlyBefore-o.EarlyGuard-eps {
+	// Endpoints SlackDelta does not visit kept their slack, which is at or
+	// above earlyBefore: worst ≥ earlyBefore−eps ⇔ early WNS ≥ earlyBefore−eps.
+	_, worst := tm.SlackDelta(timing.Early)
+	if tm.LateSlack(e) > before+eps && worst >= earlyBefore-eps {
+		tm.Commit()
 		res.Upsized++
 		return true
 	}
 	d.SwapType(c, cur)
-	tm.DirtyCell(c)
-	tm.Update()
+	tm.Rollback()
 	res.Reverted++
 	return false
 }

@@ -255,29 +255,23 @@ func (t *State) restoreSnapshot() {
 	copy(t.baseLat, g.snapBaseLat)
 	copy(t.netLoad, g.snapNetLoad)
 	copy(t.netDirty, g.snapNetDirty)
+	t.clkInOK = false
 	t.Stats = g.snapStats
 }
 
 // Reset returns the state to the pristine post-compile analysis: zero extra
 // latencies, the design's period and the model's derates, empty dirty
-// queues. It is only valid while the design has not been mutated since
-// Compile (the engine's job pool guarantees that); after physical
-// optimization, build a fresh timer instead.
+// queues. It closes an open checkpoint without rolling back. It is only
+// valid while the design has not been mutated since Compile (the engine's
+// job pool guarantees that); after physical optimization, build a fresh
+// timer instead.
 func (t *State) Reset() {
+	t.undo.close()
 	for i := range t.extraLat {
 		t.extraLat[i] = 0
 	}
 	t.clearDirty()
-	for lvl := range t.fwdBuckets {
-		for _, p := range t.fwdBuckets[lvl] {
-			t.inFwd[p] = false
-		}
-		t.fwdBuckets[lvl] = t.fwdBuckets[lvl][:0]
-		for _, p := range t.bwdBuckets[lvl] {
-			t.inBwd[p] = false
-		}
-		t.bwdBuckets[lvl] = t.bwdBuckets[lvl][:0]
-	}
+	t.clearWorklists()
 	t.doutValid = false
 	t.period = t.D.Period
 	t.dEarly, t.dLate = normalizeDerates(t.M.DerateEarly, t.M.DerateLate)
@@ -294,7 +288,9 @@ func (t *State) Period() float64 { return t.period }
 // exactly the values a from-scratch update at that period would (each
 // visited pin's required time is rebuilt from its fanout, not adjusted), so
 // results are bit-identical to a fresh timer on a design with that period.
+// It closes an open checkpoint, keeping its changes (as Commit does).
 func (t *State) SetPeriod(p float64) {
+	t.undo.close()
 	if p == t.period {
 		return
 	}
@@ -312,8 +308,10 @@ func (t *State) Derates() (early, late float64) { return t.dEarly, t.dLate }
 
 // SetDerates installs what-if analysis-corner derates on the state (zero
 // values normalize to 1, matching the model convention) and re-propagates.
-// Like SetPeriod it leaves the shared design and model untouched.
+// Like SetPeriod it leaves the shared design and model untouched, and it
+// closes an open checkpoint, keeping its changes (as Commit does).
 func (t *State) SetDerates(early, late float64) {
+	t.undo.close()
 	early, late = normalizeDerates(early, late)
 	if early == t.dEarly && late == t.dLate {
 		return

@@ -138,6 +138,15 @@ type State struct {
 	req string
 
 	Stats Counters
+
+	// Clock-input cache: the CTS-balanced LCB-input arrival the base
+	// latencies were last timed with (valid when clkInOK). While it holds,
+	// a structural Update re-times only the LCBs whose output net is dirty.
+	clkIn   float64
+	clkInOK bool
+
+	// Trial undo log (undo.go); records only while a checkpoint is open.
+	undo undoLog
 }
 
 // Timer is the classic single-session handle: one State over its own Graph.
@@ -172,6 +181,7 @@ func (t *Timer) cellArcDelay(out netlist.PinID) float64 {
 
 func (t *Timer) loadOf(n netlist.NetID) float64 {
 	if t.netDirty[n] {
+		t.logLoad(n)
 		t.netLoad[n] = t.M.NetLoad(t.D, n)
 		t.netDirty[n] = false
 	}
@@ -183,6 +193,7 @@ func (t *Timer) loadOf(n netlist.NetID) float64 {
 func (t *Timer) refreshNetLoads() {
 	for n := range t.netDirty {
 		if t.netDirty[n] {
+			t.logLoad(netlist.NetID(n))
 			t.netLoad[n] = t.M.NetLoad(t.D, netlist.NetID(n))
 			t.netDirty[n] = false
 		}
@@ -267,6 +278,7 @@ func (t *Timer) SetExtraLatency(ff netlist.CellID, l float64) {
 	if t.extraLat[i] == l {
 		return
 	}
+	t.logLat(i)
 	t.extraLat[i] = l
 	t.markFFDirty(ff, i)
 }
@@ -277,6 +289,7 @@ func (t *Timer) AddExtraLatency(ff netlist.CellID, dl float64) {
 		return
 	}
 	i := t.ffIdx[ff]
+	t.logLat(i)
 	t.extraLat[i] += dl
 	t.markFFDirty(ff, i)
 }
@@ -288,8 +301,11 @@ func (t *Timer) markFFDirty(ff netlist.CellID, i int32) {
 	}
 }
 
-// DirtyCell informs the timer that a cell was moved or reconnected; delays
-// of its incident nets are re-derived at the next Update.
+// DirtyCell informs the timer that a cell was moved, resized or reconnected;
+// delays of its incident nets are re-derived at the next Update. A clock-pin
+// reconnection changes the load of both LCBs involved: dirty the flip-flop
+// and both LCBs, since Update re-times only the LCBs whose output net is
+// dirty.
 func (t *Timer) DirtyCell(c netlist.CellID) {
 	if !t.cellDirtyMark[c] {
 		t.cellDirtyMark[c] = true
@@ -309,9 +325,29 @@ func (t *Timer) clearDirty() {
 	t.dirtyCellList = t.dirtyCellList[:0]
 }
 
+// clearWorklists empties the propagation buckets, which hold pins only after
+// an Update aborted by the SetCheck hook.
+func (t *Timer) clearWorklists() {
+	for lvl := range t.fwdBuckets {
+		for _, p := range t.fwdBuckets[lvl] {
+			t.inFwd[p] = false
+		}
+		t.fwdBuckets[lvl] = t.fwdBuckets[lvl][:0]
+		for _, p := range t.bwdBuckets[lvl] {
+			t.inBwd[p] = false
+		}
+		t.bwdBuckets[lvl] = t.bwdBuckets[lvl][:0]
+	}
+}
+
 // recomputeClock evaluates the physical clock network and returns the FFs
-// whose base latency changed.
-func (t *Timer) recomputeClock() []netlist.CellID {
+// whose base latency moved by more than eps. With all set it re-times every
+// LCB. Otherwise it re-times only the LCBs driving a net in netSeenList (the
+// current Update's dirty nets), unless the LCB-input arrival differs from
+// the cached one, which moves every LCB. That is exact under DirtyCell's
+// contract: an LCB with an unchanged input arrival and an unchanged output
+// net recomputes the same latencies, which the eps gate leaves alone.
+func (t *Timer) recomputeClock(all bool) []netlist.CellID {
 	d := t.D
 	changed := t.clkChanged[:0]
 	if d.ClockRoot == netlist.NoCell {
@@ -332,27 +368,23 @@ func (t *Timer) recomputeClock() []netlist.CellID {
 			balanced = w
 		}
 	}
-	for _, lcb := range d.LCBs {
-		in := d.LCBIn(lcb)
-		if d.Pins[in].Net != rootNet {
-			continue
+	atIn := rootDelay + balanced
+	if !t.clkInOK || math.Float64bits(atIn) != math.Float64bits(t.clkIn) {
+		all = true
+		t.clkIn, t.clkInOK = atIn, true
+	}
+	if all {
+		for _, lcb := range d.LCBs {
+			changed = t.retimeLCB(lcb, rootNet, changed)
 		}
-		atIn := rootDelay + balanced
-		outNet := d.Pins[d.LCBOut(lcb)].Net
-		if outNet == netlist.NoNet {
-			continue
-		}
-		atOut := atIn + t.M.CellDelay(d.Cells[lcb].Type, t.M.NetLoad(d, outNet))
-		for _, ck := range d.Nets[outNet].Sinks {
-			ff := d.Pins[ck].Cell
-			fi := t.ffIdx[ff]
-			if fi < 0 {
+	} else {
+		for _, n := range t.netSeenList {
+			drv := d.Nets[n].Driver
+			if drv == netlist.NoPin {
 				continue
 			}
-			lat := atOut + t.M.SinkWireDelay(d, outNet, ck)
-			if math.Abs(lat-t.baseLat[fi]) > eps {
-				t.baseLat[fi] = lat
-				changed = append(changed, ff)
+			if c := d.Pins[drv].Cell; d.Cells[c].Type.Kind == netlist.KindLCB {
+				changed = t.retimeLCB(c, rootNet, changed)
 			}
 		}
 	}
@@ -360,16 +392,46 @@ func (t *Timer) recomputeClock() []netlist.CellID {
 	return changed
 }
 
+// retimeLCB re-times the flip-flops on one LCB's output net from the cached
+// LCB-input arrival, appending those whose base latency moved to changed.
+func (t *Timer) retimeLCB(lcb netlist.CellID, rootNet netlist.NetID, changed []netlist.CellID) []netlist.CellID {
+	d := t.D
+	if d.Pins[d.LCBIn(lcb)].Net != rootNet {
+		return changed
+	}
+	outNet := d.Pins[d.LCBOut(lcb)].Net
+	if outNet == netlist.NoNet {
+		return changed
+	}
+	atOut := t.clkIn + t.M.CellDelay(d.Cells[lcb].Type, t.M.NetLoad(d, outNet))
+	for _, ck := range d.Nets[outNet].Sinks {
+		ff := d.Pins[ck].Cell
+		fi := t.ffIdx[ff]
+		if fi < 0 {
+			continue
+		}
+		lat := atOut + t.M.SinkWireDelay(d, outNet, ck)
+		if math.Abs(lat-t.baseLat[fi]) > eps {
+			t.logLat(fi)
+			t.baseLat[fi] = lat
+			changed = append(changed, ff)
+		}
+	}
+	return changed
+}
+
 // FullUpdate recomputes the clock network, all net loads, and all arrival
-// and required times from scratch.
+// and required times from scratch. It closes an open checkpoint, keeping
+// its changes (as Commit does).
 func (t *Timer) FullUpdate() {
 	sp := t.rec.StartSpan(obs.SpanTimerFullUpdate).WithReq(t.req)
 	t.rec.Add(obs.CtrTimerFullUpdates, 1)
 	t.Stats.FullUpdates++
+	t.undo.close()
 	for i := range t.netDirty {
 		t.netDirty[i] = true
 	}
-	t.recomputeClock()
+	t.recomputeClock(true)
 	t.clearDirty()
 
 	for i := range t.atMax {
@@ -472,14 +534,25 @@ func (t *Timer) endpointRequired(p netlist.PinID) (reqLate, reqEarly float64, ok
 	switch cell.Type.Kind {
 	case netlist.KindFF:
 		if cell.Pins[netlist.FFPinD] == p {
-			l := t.Latency(pin.Cell)
-			return l + t.period - cell.Type.Setup, l + cell.Type.Hold, true
+			rl, re := t.ffRequired(cell.Type, t.Latency(pin.Cell))
+			return rl, re, true
 		}
 	case netlist.KindPortOut:
-		od := d.OutDelay[pin.Cell]
-		return d.PortLatency + t.period - od, d.PortLatency, true
+		rl, re := t.portRequired(pin.Cell)
+		return rl, re, true
 	}
 	return 0, 0, false
+}
+
+// ffRequired returns a flip-flop D pin's (late, early) required times under
+// capture latency l.
+func (t *Timer) ffRequired(typ *netlist.CellType, l float64) (reqLate, reqEarly float64) {
+	return l + t.period - typ.Setup, l + typ.Hold
+}
+
+// portRequired returns an output port's (late, early) required times.
+func (t *Timer) portRequired(port netlist.CellID) (reqLate, reqEarly float64) {
+	return t.D.PortLatency + t.period - t.D.OutDelay[port], t.D.PortLatency
 }
 
 // evalRequired recomputes reqMax/reqMin of p from its fanout; it reports
@@ -539,9 +612,10 @@ func (t *Timer) Update() int {
 		}
 		t.dirtyCellList = t.dirtyCellList[:0]
 		for _, n := range t.netSeenList {
+			t.logLoad(n)
 			t.netDirty[n] = true
 		}
-		for _, ff := range t.recomputeClock() {
+		for _, ff := range t.recomputeClock(false) {
 			t.markFFDirty(ff, t.ffIdx[ff])
 		}
 		for _, n := range t.netSeenList {
@@ -655,6 +729,9 @@ func (t *Timer) runForward() (int, int) {
 			continue
 		}
 		levels++
+		if t.undo.open {
+			t.undo.at = logTimes(t.undo.at, bucket, t.atMin, t.atMax)
+		}
 		if t.workers > 1 && len(bucket) >= parallelBucketMin {
 			changed := t.changedScratch(len(bucket))
 			chunked(t.workers, len(bucket), func(lo, hi int) {
@@ -700,6 +777,9 @@ func (t *Timer) runBackward() (int, int) {
 			continue
 		}
 		levels++
+		if t.undo.open {
+			t.undo.req = logTimes(t.undo.req, bucket, t.reqMin, t.reqMax)
+		}
 		if t.workers > 1 && len(bucket) >= parallelBucketMin {
 			changed := t.changedScratch(len(bucket))
 			chunked(t.workers, len(bucket), func(lo, hi int) {
@@ -742,6 +822,29 @@ func (t *Timer) LateSlack(e EndpointID) float64 {
 	}
 	rl, _, _ := t.endpointRequired(p)
 	return rl - t.atMax[p]
+}
+
+// slackWith is the slack formula of LateSlack/EarlySlack over an explicit
+// capture latency and endpoint-pin arrivals, so SlackDelta can evaluate the
+// values logged before a checkpoint.
+func (t *Timer) slackWith(e EndpointID, m Mode, lat, atMin, atMax float64) float64 {
+	ep := &t.endpoints[e]
+	var rl, re float64
+	if ep.IsPort {
+		rl, re = t.portRequired(ep.Cell)
+	} else {
+		rl, re = t.ffRequired(t.D.Cells[ep.Cell].Type, lat)
+	}
+	if m == Early {
+		if math.IsInf(atMin, 1) {
+			return math.Inf(1)
+		}
+		return atMin - re
+	}
+	if math.IsInf(atMax, -1) {
+		return math.Inf(1)
+	}
+	return rl - atMax
 }
 
 // EarlySlack returns the hold slack of an endpoint: min arrival − required.

@@ -1,14 +1,16 @@
 // Microbenchmarks for the flat-kernel fast path: CSR propagation, the
-// parallel batch extractor, and the allocation-lean incremental Update.
-// All report allocs/op so benchstat can track both time and GC pressure
-// PR-over-PR.
+// parallel batch extractor, the allocation-lean incremental Update, and the
+// §IV optimization trials that drive it. All report allocs/op so benchstat
+// can track both time and GC pressure PR-over-PR.
 package iterskew_test
 
 import (
 	"fmt"
 	"testing"
 
+	"iterskew/internal/core"
 	"iterskew/internal/delay"
+	"iterskew/internal/opt"
 	"iterskew/internal/timing"
 )
 
@@ -89,4 +91,36 @@ func BenchmarkCSRPropagation(b *testing.B) {
 		tm.FullUpdate()
 	}
 	b.ReportMetric(float64(len(tm.D.Pins)), "pins")
+}
+
+// BenchmarkOptimize times the §IV physical realization of one early
+// schedule on superblue1: LCB–FF reconnection and cell-move trials, each an
+// incremental timer update. The schedule is computed once; every iteration
+// realizes it on a fresh clone and state, built with the timer stopped.
+func BenchmarkOptimize(b *testing.B) {
+	d := genDesign(b, "superblue1", 0.01)
+	tm, err := timing.New(d, delay.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Schedule(tm, core.Options{Mode: timing.Early})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var pins int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tm, err := timing.New(d.Clone(), delay.Default())
+		if err != nil {
+			b.Fatal(err)
+		}
+		before := tm.Stats
+		b.StartTimer()
+		opt.Optimize(tm, res.Target, opt.Options{})
+		pins += tm.Stats.ForwardPinVisits - before.ForwardPinVisits +
+			tm.Stats.BackwardPinVisits - before.BackwardPinVisits
+	}
+	b.ReportMetric(float64(pins)/float64(b.N), "pins/op")
 }
