@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench fuzz-smoke oracle-check obs-smoke engine-smoke cancel-smoke codec-smoke serve-smoke metrics-smoke mcmm-smoke
+.PHONY: ci vet build test race perfbench bench fuzz-smoke oracle-check obs-smoke engine-smoke cancel-smoke codec-smoke serve-smoke metrics-smoke mcmm-smoke
 
-ci: vet build test race fuzz-smoke obs-smoke engine-smoke cancel-smoke codec-smoke serve-smoke metrics-smoke mcmm-smoke oracle-check
+ci: vet build test race perfbench fuzz-smoke obs-smoke engine-smoke cancel-smoke codec-smoke serve-smoke metrics-smoke mcmm-smoke oracle-check
 
 # vet also fails on any tracked Go file that gofmt would rewrite.
 vet:
@@ -27,8 +27,16 @@ race:
 	$(GO) test -race ./internal/timing ./internal/core ./internal/obs ./internal/engine ./internal/flow ./internal/graphio ./internal/serve
 	$(GO) test -race -run 'Corner' .
 
+# perfbench is a separate module, so the targets above never compile it.
+# Vet it, and replay every workload's traced pass in short mode, including
+# the RunFlow replica's bit-identity check: an exported-API change or a
+# replica divergence fails here instead of in a benchmark run.
+perfbench:
+	$(GO) -C perfbench vet .
+	$(GO) -C perfbench test -short ./...
+
 bench:
-	$(GO) test -bench 'ExtractEssentialBatch|IncrementalUpdate|CSRPropagation|Optimize' -benchmem .
+	$(GO) test -bench 'ExtractEssentialBatch|IncrementalUpdate|SettledUpdate|CSRPropagation|Optimize' -benchmem .
 
 # Short coverage-guided runs of both fuzz targets: every scheduler and every
 # extraction primitive over mutated generator seeds. Any panic, invariant

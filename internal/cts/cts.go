@@ -105,8 +105,8 @@ func GuideTree(tm *timing.Timer, targets map[netlist.CellID]float64, o Options) 
 		return order[i] < order[j]
 	})
 	load := make([]int, len(d.LCBs))
-	assign := make(map[netlist.CellID]int, len(order))
-	for _, ff := range order {
+	assign := make([]int, len(order)) // LCB index per order entry
+	for k, ff := range order {
 		pos := d.Cells[ff].Pos
 		bestLCB, bestCost := -1, math.Inf(1)
 		cur := d.LCBofFF(ff)
@@ -128,13 +128,14 @@ func GuideTree(tm *timing.Timer, targets map[netlist.CellID]float64, o Options) 
 		if bestLCB < 0 {
 			bestLCB = 0 // capacity exhausted everywhere: overflow onto LCB 0
 		}
-		assign[ff] = bestLCB
+		assign[k] = bestLCB
 		load[bestLCB]++
 	}
 
-	// Apply the assignment.
-	for ff, li := range assign {
-		lcb := d.LCBs[li]
+	// Apply the assignment in the greedy's order, so every LCB output net
+	// lists its clock sinks (and sums its load) the same way on every run.
+	for k, ff := range order {
+		lcb := d.LCBs[assign[k]]
 		if d.LCBofFF(ff) == lcb {
 			continue
 		}

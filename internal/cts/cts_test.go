@@ -1,6 +1,8 @@
 package cts
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"iterskew/internal/bench"
@@ -121,4 +123,59 @@ func TestGuideTreeVsECO(t *testing.T) {
 	}
 	t.Logf("CTS: moved=%d errAbs=%.0f (in %.0f), TNS %0.f vs unrealized %0.f",
 		g.Moved, g.ErrAbs, g.ErrAbsIn, tnsCTS, tnsNone)
+}
+
+// TestGuideTreeDeterministic: GuideTree on clones of one design, with one
+// schedule, gives the same clock sink order on every LCB output net, and
+// with it the same Result and the same early and late WNS/TNS, bit for bit.
+func TestGuideTreeDeterministic(t *testing.T) {
+	tm, _ := genTimer(t, 0.005)
+	base := tm.D.Clone()
+	res := mustCoreSchedule(t, tm, core.Options{Mode: timing.Late})
+
+	type outcome struct {
+		moved, maxFanout       int
+		errAbs                 uint64
+		wnsE, tnsE, wnsL, tnsL uint64
+	}
+	// run re-clusters a fresh clone and returns each LCB's clock sinks in
+	// net order, and the outcome.
+	run := func() ([][]netlist.PinID, outcome) {
+		d := base.Clone()
+		tm, err := timing.New(d, delay.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := GuideTree(tm, res.Target, Options{})
+		var sinks [][]netlist.PinID
+		for _, l := range d.LCBs {
+			var s []netlist.PinID
+			if n := d.Pins[d.LCBOut(l)].Net; n != netlist.NoNet {
+				s = slices.Clone(d.Nets[n].Sinks)
+			}
+			sinks = append(sinks, s)
+		}
+		wE, tE := tm.WNSTNS(timing.Early)
+		wL, tL := tm.WNSTNS(timing.Late)
+		return sinks, outcome{
+			moved: g.Moved, maxFanout: g.MaxFanout, errAbs: math.Float64bits(g.ErrAbs),
+			wnsE: math.Float64bits(wE), tnsE: math.Float64bits(tE),
+			wnsL: math.Float64bits(wL), tnsL: math.Float64bits(tL),
+		}
+	}
+	wantSinks, want := run()
+	if want.moved == 0 {
+		t.Fatal("nothing re-clustered; fixture too small")
+	}
+	for i := 1; i < 8; i++ {
+		sinks, got := run()
+		for l := range wantSinks {
+			if !slices.Equal(sinks[l], wantSinks[l]) {
+				t.Fatalf("run %d: LCB %d sink order %v, run 0 %v", i, l, sinks[l], wantSinks[l])
+			}
+		}
+		if got != want {
+			t.Fatalf("run %d: outcome %+v, run 0 %+v", i, got, want)
+		}
+	}
 }

@@ -36,7 +36,7 @@ type Event struct {
 	Raised    int     `json:"raised,omitempty"`
 	CycleLen  int     `json:"cycle_len,omitempty"`
 	MaxInc    float64 `json:"max_inc,omitempty"`
-	TimerPins int     `json:"timer_pins,omitempty"`
+	TimerPins int     `json:"timer_pins,omitempty"` // arrival pins only (IterStats.TimerPins)
 	Stall     int     `json:"stall,omitempty"`
 	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
 

@@ -39,7 +39,7 @@ type Counter int
 const (
 	// Timer incremental propagation.
 	CtrTimerUpdates     Counter = iota // Timer.Update calls
-	CtrTimerPins                       // pins re-propagated by Update
+	CtrTimerPins                       // pins re-propagated: arrivals by Update, required times at the first launch-slack read
 	CtrTimerDirtyFFs                   // dirty flip-flops drained by Update
 	CtrTimerDirtyCells                 // dirty cells drained by Update
 	CtrTimerLevels                     // non-empty level buckets swept

@@ -3,6 +3,9 @@ package opt
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"iterskew/internal/core"
@@ -254,5 +257,31 @@ func TestOptimizeEndToEnd(t *testing.T) {
 	}
 	if math.IsNaN(wns1) {
 		t.Fatal("NaN WNS")
+	}
+}
+
+// TestKeepBestMatchesSort: the bounded candidate selection returns exactly
+// the first k of a full sort by (offset, LCB), in order, ties included.
+func TestKeepBestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n, k := rng.Intn(40), 1+rng.Intn(10)
+		all := make([]cand, n)
+		for i := range all {
+			// Few distinct offsets, so ties on the offset are common.
+			all[i] = cand{lcb: netlist.CellID(rng.Intn(1000)), off: float64(rng.Intn(6))}
+		}
+		var got []cand
+		for _, c := range all {
+			got = keepBest(got, c, k)
+		}
+		want := slices.Clone(all)
+		sort.Slice(want, func(i, j int) bool { return want[i].less(want[j]) })
+		if len(want) > k {
+			want = want[:k]
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d k=%d): kept %v, sort gives %v", trial, n, k, got, want)
+		}
 	}
 }

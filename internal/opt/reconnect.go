@@ -102,6 +102,7 @@ func Reconnect(tm *timing.Timer, targets map[netlist.CellID]float64, o Reconnect
 
 	lcbUsed := map[netlist.CellID]int{}
 	ckType := func(ff netlist.CellID) float64 { return d.Cells[ff].Type.InputCap }
+	cands := make([]cand, 0, o.MaxCandidates)
 
 	for _, ff := range order {
 		res.Attempted++
@@ -113,13 +114,9 @@ func Reconnect(tm *timing.Timer, targets map[netlist.CellID]float64, o Reconnect
 		lcbDrive := d.Cells[d.LCBs[0]].Type.DriveRes
 		distStar := tm.M.TargetDistance(target, ckType(ff), lcbDrive)
 
-		// Candidate set from the distance matrix: LCBs whose distance is
-		// closest to Dist*.
-		type cand struct {
-			lcb  netlist.CellID
-			dist float64
-		}
-		var cands []cand
+		// Candidate set from the distance matrix: the MaxCandidates LCBs
+		// whose distance is closest to Dist*.
+		cands = cands[:0]
 		for _, lcb := range d.LCBs {
 			if lcb == cur {
 				continue
@@ -130,18 +127,8 @@ func Reconnect(tm *timing.Timer, targets map[netlist.CellID]float64, o Reconnect
 			if lcbUsed[lcb] >= o.MaxPerLCB {
 				continue
 			}
-			cands = append(cands, cand{lcb, ffPos.Manhattan(d.Cells[lcb].Pos)})
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			di := math.Abs(cands[i].dist - distStar)
-			dj := math.Abs(cands[j].dist - distStar)
-			if di != dj {
-				return di < dj
-			}
-			return cands[i].lcb < cands[j].lcb
-		})
-		if len(cands) > o.MaxCandidates {
-			cands = cands[:o.MaxCandidates]
+			dist := ffPos.Manhattan(d.Cells[lcb].Pos)
+			cands = keepBest(cands, cand{lcb: lcb, off: math.Abs(dist - distStar)}, o.MaxCandidates)
 		}
 
 		keepCost := math.Abs(tm.BaseLatency(ff) - desired[ff])
@@ -189,6 +176,40 @@ func Reconnect(tm *timing.Timer, targets map[netlist.CellID]float64, o Reconnect
 
 	res.Elapsed = time.Since(start)
 	return res
+}
+
+// cand is a reconnection candidate: an LCB and how far its distance from
+// the flip-flop is off Dist*.
+type cand struct {
+	lcb netlist.CellID
+	off float64
+}
+
+// less orders candidates by their distance's offset from Dist*, then by LCB.
+func (c cand) less(o cand) bool {
+	if c.off != o.off {
+		return c.off < o.off
+	}
+	return c.lcb < o.lcb
+}
+
+// keepBest inserts c into best, which holds at most k candidates in
+// ascending order, dropping the largest when best overflows. Over a stream
+// of candidates it keeps exactly the first k of the stream sorted.
+func keepBest(best []cand, c cand, k int) []cand {
+	if len(best) == k {
+		if !c.less(best[k-1]) {
+			return best
+		}
+		best = best[:k-1]
+	}
+	i := len(best)
+	best = append(best, c)
+	for ; i > 0 && c.less(best[i-1]); i-- {
+		best[i] = best[i-1]
+	}
+	best[i] = c
+	return best
 }
 
 // predictReconnect estimates the flip-flop's latency after reconnecting from

@@ -310,7 +310,7 @@ type IterStats struct {
 	Raised    int     // vertices that received a positive increment
 	CycleLen  int     // >0 if this round handled a cycle
 	MaxInc    float64 // largest latency increment this round
-	TimerPins int     // pins re-propagated by the incremental update
+	TimerPins int     // arrival pins the round's Update re-propagated; required times settle at reads, uncounted
 	Clamped   int     // vertices whose Eq-14 need was clamped by l^max (Eq 11)
 }
 
@@ -390,6 +390,8 @@ type TimingView interface {
 	// Slack queries (worst corner).
 	Slack(id timing.EndpointID, m timing.Mode) float64
 	EarlySlack(id timing.EndpointID) float64
+	// LaunchLateSlack is the one required-time read: the first call after
+	// an Update drains the required times that Update left queued.
 	LaunchLateSlack(c netlist.CellID) float64
 	ViolatedEndpoints(m timing.Mode, dst []timing.EndpointID) []timing.EndpointID
 	WNSTNS(m timing.Mode) (wns, tns float64)

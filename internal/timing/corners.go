@@ -245,6 +245,7 @@ func (cs *CornerSet) EarlySlack(e EndpointID) float64 {
 // late slack over launched paths in any corner, so the Eq-11 headroom clamp
 // never trades a hold fix in one corner for a setup break in another.
 func (cs *CornerSet) LaunchLateSlack(ff netlist.CellID) float64 {
+	cs.settleRequired()
 	worst := math.Inf(1)
 	for _, s := range cs.states {
 		if v := s.LaunchLateSlack(ff); v < worst {
@@ -252,6 +253,28 @@ func (cs *CornerSet) LaunchLateSlack(ff netlist.CellID) float64 {
 		}
 	}
 	return worst
+}
+
+// settleRequired drains the required times every corner's Update left
+// queued, one goroutine per corner as in Update, so the first envelope read
+// after an Update waits for the slowest corner's backward pass, not for
+// their sum. A corner with a checkpoint open is left to its own read, which
+// panics on the caller's goroutine.
+func (cs *CornerSet) settleRequired() {
+	if len(cs.states) == 1 {
+		return // the corner drains inline at its own read
+	}
+	var wg sync.WaitGroup
+	for _, s := range cs.states {
+		if s.reqStale && !s.undo.open {
+			wg.Add(1)
+			go func(s *State) {
+				defer wg.Done()
+				s.settleRequired()
+			}(s)
+		}
+	}
+	wg.Wait()
 }
 
 // WNSTNS returns worst and total negative envelope slack: each endpoint

@@ -284,11 +284,12 @@ func (t *State) Period() float64 { return t.period }
 
 // SetPeriod retimes the state to a what-if clock period without touching the
 // shared design. Arrival times are period-independent; required times are
-// reseeded at every endpoint and re-drained incrementally, which recomputes
-// exactly the values a from-scratch update at that period would (each
-// visited pin's required time is rebuilt from its fanout, not adjusted), so
-// results are bit-identical to a fresh timer on a design with that period.
-// It closes an open checkpoint, keeping its changes (as Commit does).
+// reseeded at every endpoint and drained incrementally at the next
+// required-time read, which recomputes exactly the values a from-scratch
+// update at that period would (each visited pin's required time is rebuilt
+// from its fanout, not adjusted), so results are bit-identical to a fresh
+// timer on a design with that period. It closes an open checkpoint, keeping
+// its changes (as Commit does).
 func (t *State) SetPeriod(p float64) {
 	t.undo.close()
 	if p == t.period {

@@ -7,7 +7,8 @@
 //     slack bounds (the ŝ^L of §III-C1) in addition to the endpoint-side
 //     early/late slacks;
 //   - incremental propagation: changing the clock latency of a set of
-//     flip-flops re-times only their fanout/fanin cones;
+//     flip-flops re-times only their fanout cones at Update, and their fanin
+//     cones' required times at the next launch-slack read;
 //   - clock-network evaluation (root → LCB → FF) so that LCB–FF reconnection
 //     physically changes flip-flop latencies;
 //   - sequential-edge extraction primitives: backward tracing of violating
@@ -116,6 +117,9 @@ type State struct {
 	inFwd      []bool
 	inBwd      []bool
 	changedBuf []bool // per-bucket parallel changed flags
+	// reqStale reports backward seeds queued since the last drain: the
+	// required times settle at the next LaunchLateSlack/LaunchEarlySlack.
+	reqStale bool
 
 	// Extraction scratch state.
 	trace     traceState
@@ -226,8 +230,9 @@ func (t *Timer) Workers() int { return t.workers }
 // exactly the fixpoint an uninterrupted Update would have reached (the
 // worklist recomputes each pin from its fan-in, so the path taken does not
 // change the result). Aborted extraction batches return the edges traced so
-// far. With no hook installed the probes cost a nil check and behavior is
-// unchanged.
+// far. The required-time drain at a launch-slack read never probes the
+// hook, so a read always returns settled values. With no hook installed the
+// probes cost a nil check and behavior is unchanged.
 func (t *Timer) SetCheck(f func() bool) { t.check = f }
 
 // Check returns the installed cooperative-stop hook (nil if none), so
@@ -325,18 +330,38 @@ func (t *Timer) clearDirty() {
 	t.dirtyCellList = t.dirtyCellList[:0]
 }
 
-// clearWorklists empties the propagation buckets, which hold pins only after
-// an Update aborted by the SetCheck hook.
+// clearWorklists empties the propagation buckets: the forward ones hold pins
+// only after an Update aborted by the SetCheck hook, the backward ones the
+// seeds no required-time read has drained yet.
 func (t *Timer) clearWorklists() {
-	for lvl := range t.fwdBuckets {
-		for _, p := range t.fwdBuckets[lvl] {
+	t.clearForward()
+	t.truncateBackward(nil, false)
+}
+
+// clearForward empties the forward buckets.
+func (t *Timer) clearForward() {
+	for lvl, bucket := range t.fwdBuckets {
+		for _, p := range bucket {
 			t.inFwd[p] = false
 		}
-		t.fwdBuckets[lvl] = t.fwdBuckets[lvl][:0]
-		for _, p := range t.bwdBuckets[lvl] {
+		t.fwdBuckets[lvl] = bucket[:0]
+	}
+}
+
+// truncateBackward cuts every backward bucket back to its length in lens
+// (to empty when lens is nil), unqueueing the pins it drops, and sets
+// reqStale to stale, which the caller knows to match the lengths.
+func (t *Timer) truncateBackward(lens []int32, stale bool) {
+	t.reqStale = stale
+	for lvl, bucket := range t.bwdBuckets {
+		n := 0
+		if lens != nil {
+			n = int(lens[lvl])
+		}
+		for _, p := range bucket[n:] {
 			t.inBwd[p] = false
 		}
-		t.bwdBuckets[lvl] = t.bwdBuckets[lvl][:0]
+		t.bwdBuckets[lvl] = bucket[:n]
 	}
 }
 
@@ -421,13 +446,14 @@ func (t *Timer) retimeLCB(lcb netlist.CellID, rootNet netlist.NetID, changed []n
 }
 
 // FullUpdate recomputes the clock network, all net loads, and all arrival
-// and required times from scratch. It closes an open checkpoint, keeping
-// its changes (as Commit does).
+// and required times from scratch, discarding the queued seeds. It closes
+// an open checkpoint, keeping its changes (as Commit does).
 func (t *Timer) FullUpdate() {
 	sp := t.rec.StartSpan(obs.SpanTimerFullUpdate).WithReq(t.req)
 	t.rec.Add(obs.CtrTimerFullUpdates, 1)
 	t.Stats.FullUpdates++
 	t.undo.close()
+	t.clearWorklists()
 	for i := range t.netDirty {
 		t.netDirty[i] = true
 	}
@@ -588,8 +614,12 @@ func feq(a, b float64) bool {
 }
 
 // Update applies all pending latency and structural changes incrementally:
-// only the affected cones are re-propagated. It returns the number of pins
-// re-evaluated.
+// it re-propagates arrival times through the affected fanout cones and
+// returns the number of pins re-evaluated. Required times are not
+// propagated here: Update queues the backward seeds, and they drain at the
+// first LaunchLateSlack or LaunchEarlySlack read. Every other slack query
+// (Slack, WNSTNS, SlackDelta, the extractors) reads only arrivals and
+// latencies, so it is exact right after Update.
 func (t *Timer) Update() int {
 	sp := t.rec.StartSpan(obs.SpanTimerUpdate).WithReq(t.req)
 	if t.rec != nil {
@@ -664,14 +694,12 @@ func (t *Timer) Update() int {
 		// Workers must never touch the lazy load cache concurrently.
 		t.refreshNetLoads()
 	}
-	fwd, fwdLvls := t.runForward()
-	bwd, bwdLvls := t.runBackward()
-	visited := fwd + bwd
+	visited, levels := t.runForward()
 	if t.rec != nil {
 		t.rec.Add(obs.CtrTimerPins, int64(visited))
-		t.rec.Add(obs.CtrTimerLevels, int64(fwdLvls+bwdLvls))
+		t.rec.Add(obs.CtrTimerLevels, int64(levels))
 	}
-	sp.EndArg2("pins", int64(visited), "levels", int64(fwdLvls+bwdLvls))
+	sp.EndArg2("pins", int64(visited), "levels", int64(levels))
 	return visited
 }
 
@@ -690,6 +718,7 @@ func (t *Timer) seedBwd(p netlist.PinID) {
 	}
 	t.inBwd[p] = true
 	t.bwdBuckets[t.level[p]] = append(t.bwdBuckets[t.level[p]], p)
+	t.reqStale = true
 }
 
 // parallelBucketMin is the minimum level-bucket size worth fanning out to
@@ -765,21 +794,40 @@ func (t *Timer) runForward() (int, int) {
 	return visited, levels
 }
 
+// settleRequired drains the queued backward seeds, so the required times
+// are exact, before a required-time read. A read inside an open checkpoint
+// panics: the trial log records no required time.
+func (t *Timer) settleRequired() {
+	if t.undo.open {
+		panic("timing: required-time read with a checkpoint open")
+	}
+	if !t.reqStale {
+		return
+	}
+	if t.workers > 1 {
+		// Workers must never touch the lazy load cache concurrently.
+		t.refreshNetLoads()
+	}
+	visited, levels := t.runBackward()
+	t.reqStale = false
+	if t.rec != nil {
+		t.rec.Add(obs.CtrTimerPins, int64(visited))
+		t.rec.Add(obs.CtrTimerLevels, int64(levels))
+	}
+}
+
+// runBackward drains the backward worklist level by level, deepest first,
+// on the same serial-seed discipline as runForward. It never probes the
+// SetCheck hook: a required-time read must return settled values.
 func (t *Timer) runBackward() (int, int) {
 	visited, levels := 0, 0
 	for lvl := t.maxLvl; lvl >= 0; lvl-- {
-		if t.stopRequested() {
-			break // remaining buckets stay queued; a later Update drains them
-		}
 		bucket := t.bwdBuckets[lvl]
 		t.bwdBuckets[lvl] = bucket[:0]
 		if len(bucket) == 0 {
 			continue
 		}
 		levels++
-		if t.undo.open {
-			t.undo.req = logTimes(t.undo.req, bucket, t.reqMin, t.reqMax)
-		}
 		if t.workers > 1 && len(bucket) >= parallelBucketMin {
 			changed := t.changedScratch(len(bucket))
 			chunked(t.workers, len(bucket), func(lo, hi int) {
@@ -868,8 +916,11 @@ func (t *Timer) Slack(e EndpointID, m Mode) float64 {
 // LaunchLateSlack returns the worst late slack among all timing paths
 // launched by the flip-flop — the ŝ^L bound of §III-C1 used when raising
 // launch latencies during early optimization. It is derived from the
-// backward late required time at the Q pin.
+// backward late required time at the Q pin, so the first read after an
+// Update drains the queued backward seeds. It panics while a checkpoint is
+// open.
 func (t *Timer) LaunchLateSlack(ff netlist.CellID) float64 {
+	t.settleRequired()
 	q := t.D.FFQ(ff)
 	if math.IsInf(t.reqMax[q], 1) {
 		return math.Inf(1) // no launched paths
@@ -879,7 +930,10 @@ func (t *Timer) LaunchLateSlack(ff netlist.CellID) float64 {
 
 // LaunchEarlySlack returns the worst early slack among all timing paths
 // launched by the flip-flop (min arrival − early required at the Q pin).
+// Like LaunchLateSlack it settles the required times first, and it panics
+// while a checkpoint is open.
 func (t *Timer) LaunchEarlySlack(ff netlist.CellID) float64 {
+	t.settleRequired()
 	q := t.D.FFQ(ff)
 	if math.IsInf(t.reqMin[q], -1) {
 		return math.Inf(1)

@@ -13,14 +13,18 @@ import (
 //
 // or, on rejection, revert the design and Rollback. While a checkpoint is
 // open, every write Update makes to the analysis state first appends the old
-// value to an undo log: arrival and required times once per level bucket
-// (never per pin inside evalArrival/evalRequired, and on the serial and the
-// worker path alike, so the worker pool never touches the log), and net
-// loads and clock latencies at their writers; the two-word clock-input
-// cache is saved whole at Checkpoint. Rollback replays the log backwards in
-// O(log length), so a rejected trial costs no second propagation, and
-// SlackDelta reads the same log, so an accept/reject decision never scans
-// every endpoint.
+// value to an undo log: arrival times once per level bucket (never per pin
+// inside evalArrival, and on the serial and the worker path alike, so the
+// worker pool never touches the log), and net loads and clock latencies at
+// their writers; the two-word clock-input cache is saved whole at
+// Checkpoint. Rollback replays the log backwards in O(log length), so a
+// rejected trial costs no second propagation, and SlackDelta reads the same
+// log, so an accept/reject decision never scans every endpoint.
+//
+// Required times need no log: Update only queues backward seeds, and a
+// required-time read inside a trial panics. Checkpoint records each backward
+// bucket's length instead, and Rollback cuts the buckets back to it, so the
+// seeds of committed trials stay queued for the next read.
 //
 // Stats and recorder counters count work done; they are never rolled back.
 
@@ -28,13 +32,16 @@ import (
 type undoLog struct {
 	open bool
 	at   []pinTimes   // old (atMin, atMax) per arrival write
-	req  []pinTimes   // old (reqMin, reqMax) per required write
 	load []netLoadOld // old net-load cache entries
 	lat  []latOld     // old (base, extra) latency per FF write
 
 	// Clock-input cache at Checkpoint.
 	clkIn   float64
 	clkInOK bool
+
+	// Backward bucket lengths and reqStale at Checkpoint.
+	bwdLen   []int32
+	reqStale bool
 
 	// SlackDelta scratch, indexed by endpoint; mark[e] == epoch means e is
 	// in touched for the current call.
@@ -68,33 +75,45 @@ type epOld struct {
 // close discards the log, keeping its buffers for the next checkpoint.
 func (u *undoLog) close() {
 	u.open = false
-	u.at, u.req = u.at[:0], u.req[:0]
+	u.at = u.at[:0]
 	u.load, u.lat = u.load[:0], u.lat[:0]
 }
 
 // Checkpoint opens an undo log: from here on every analysis value that
 // Update (or SetExtraLatency/AddExtraLatency) overwrites is recorded, until
-// Commit or Rollback closes the log. One checkpoint may be open at a time;
-// opening a second one panics. The state should be settled (no changes
-// queued since the last Update): Rollback empties the dirty queues, so a
-// change queued before the checkpoint would be lost.
+// Commit or Rollback closes the log. It also records the length of each
+// backward bucket, so Rollback drops exactly the seeds the trial queued.
+// One checkpoint may be open at a time; opening a second one panics, and
+// so does a required-time read (LaunchLateSlack, LaunchEarlySlack) before
+// the log closes. The state should be settled (no changes queued since the
+// last Update): Rollback empties the dirty queues, so a change queued
+// before the checkpoint would be lost.
 func (t *State) Checkpoint() {
-	if t.undo.open {
+	u := &t.undo
+	if u.open {
 		panic("timing: Checkpoint with a checkpoint already open")
 	}
-	t.undo.open = true
-	t.undo.clkIn, t.undo.clkInOK = t.clkIn, t.clkInOK
+	u.open = true
+	u.clkIn, u.clkInOK = t.clkIn, t.clkInOK
+	u.bwdLen = u.bwdLen[:0]
+	for _, bucket := range t.bwdBuckets {
+		u.bwdLen = append(u.bwdLen, int32(len(bucket)))
+	}
+	u.reqStale = t.reqStale
 }
 
 // Commit keeps every change made since Checkpoint and closes the log. It is
 // a no-op when no checkpoint is open.
 func (t *State) Commit() { t.undo.close() }
 
-// Rollback restores every arrival time, required time, clock latency and
-// cached net load to its value at Checkpoint, bit for bit, empties the
-// dirty queues and closes the log. The caller reverts the design itself
-// (MovePinToNet, MoveCell or SwapType back) and then calls Rollback instead
-// of DirtyCell and Update. It is a no-op when no checkpoint is open.
+// Rollback restores every arrival time, clock latency and cached net load
+// to its value at Checkpoint, bit for bit, empties the dirty queues and the
+// forward buckets, cuts the backward buckets back to their lengths at
+// Checkpoint (required times are never written inside a trial, so the
+// seeds queued before it, committed trials' included, stay queued), and
+// closes the log. The caller reverts the design itself (MovePinToNet,
+// MoveCell or SwapType back) and then calls Rollback instead of DirtyCell
+// and Update. It is a no-op when no checkpoint is open.
 func (t *State) Rollback() {
 	u := &t.undo
 	if !u.open {
@@ -103,10 +122,6 @@ func (t *State) Rollback() {
 	for i := len(u.at) - 1; i >= 0; i-- {
 		e := &u.at[i]
 		t.atMin[e.p], t.atMax[e.p] = e.lo, e.hi
-	}
-	for i := len(u.req) - 1; i >= 0; i-- {
-		e := &u.req[i]
-		t.reqMin[e.p], t.reqMax[e.p] = e.lo, e.hi
 	}
 	for i := len(u.load) - 1; i >= 0; i-- {
 		e := &u.load[i]
@@ -118,7 +133,8 @@ func (t *State) Rollback() {
 	}
 	t.clkIn, t.clkInOK = u.clkIn, u.clkInOK
 	t.clearDirty()
-	t.clearWorklists()
+	t.clearForward()
+	t.truncateBackward(u.bwdLen, u.reqStale)
 	u.close()
 }
 

@@ -61,23 +61,37 @@ func BenchmarkExtractAllFromBatch(b *testing.B) {
 	}
 }
 
-func BenchmarkIncrementalUpdate(b *testing.B) {
+// BenchmarkIncrementalUpdate times Update alone, which propagates arrival
+// times only; the required times it leaves queued are never read.
+func BenchmarkIncrementalUpdate(b *testing.B) { benchUpdate(b, false) }
+
+// BenchmarkSettledUpdate times Update followed by one LaunchLateSlack read,
+// which settles the required times: the cost of a CSS round that reads the
+// ŝ^L bound of §III-C1.
+func BenchmarkSettledUpdate(b *testing.B) { benchUpdate(b, true) }
+
+func benchUpdate(b *testing.B, settle bool) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			tm := perfTimer(b)
 			tm.SetWorkers(workers)
 			ffs := tm.D.FFs
+			before := tm.Stats
 			b.ReportAllocs()
 			b.ResetTimer()
-			pins := 0
 			for i := 0; i < b.N; i++ {
 				// Rotate a 20% slice of the flip-flops each iteration so the
 				// dirty cones stay realistic for a CSS round.
 				for j := i % 5; j < len(ffs); j += 5 {
 					tm.SetExtraLatency(ffs[j], float64((i+j)%23))
 				}
-				pins += tm.Update()
+				tm.Update()
+				if settle {
+					tm.LaunchLateSlack(ffs[0])
+				}
 			}
+			pins := tm.Stats.ForwardPinVisits - before.ForwardPinVisits +
+				tm.Stats.BackwardPinVisits - before.BackwardPinVisits
 			b.ReportMetric(float64(pins)/float64(b.N), "pins/op")
 		})
 	}
