@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet build test race perfbench bench fuzz-smoke oracle-check obs-smoke engine-smoke cancel-smoke codec-smoke serve-smoke metrics-smoke mcmm-smoke
+.PHONY: ci vet build test race perfbench bench bench-smoke fuzz-smoke oracle-check obs-smoke engine-smoke cancel-smoke codec-smoke serve-smoke metrics-smoke mcmm-smoke
 
-ci: vet build test race perfbench fuzz-smoke obs-smoke engine-smoke cancel-smoke codec-smoke serve-smoke metrics-smoke mcmm-smoke oracle-check
+ci: vet build test race perfbench bench-smoke fuzz-smoke obs-smoke engine-smoke cancel-smoke codec-smoke serve-smoke metrics-smoke mcmm-smoke oracle-check
 
 # vet also fails on any tracked Go file that gofmt would rewrite.
 vet:
@@ -37,6 +37,12 @@ perfbench:
 
 bench:
 	$(GO) test -bench 'ExtractEssentialBatch|IncrementalUpdate|SettledUpdate|CSRPropagation|Optimize' -benchmem .
+
+# Run every benchmark body once, so a change that breaks a benchmark fails CI
+# even though no timing is gated (about 4 s on a 2-vCPU host once the
+# packages are built).
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Short coverage-guided runs of both fuzz targets: every scheduler and every
 # extraction primitive over mutated generator seeds. Any panic, invariant

@@ -5,6 +5,11 @@ import (
 	"testing"
 
 	"iterskew"
+	"iterskew/internal/core"
+	"iterskew/internal/delay"
+	"iterskew/internal/iccss"
+	"iterskew/internal/sched"
+	"iterskew/internal/timing"
 )
 
 // TestHeadlineClaims is the regression guard for the paper's key evaluation
@@ -67,7 +72,8 @@ func TestHeadlineClaims(t *testing.T) {
 		t.Errorf("edge reduction %.1f%% below the claimed regime", reduction*100)
 	}
 	// Claim 2: the CSS phase is faster than IC-CSS+'s (paper: 49×; we
-	// require ≥2× at this scale).
+	// require ≥2× at this scale). TestHeadlineCSSWork asserts the same on
+	// deterministic work counters.
 	if float64(ic.cssNS) < 2*float64(ours.cssNS) {
 		t.Errorf("CSS speedup %.2fx below 2x", float64(ic.cssNS)/float64(ours.cssNS))
 	}
@@ -90,6 +96,46 @@ func TestHeadlineClaims(t *testing.T) {
 	// Claim 6: Ours-Early's extraction is tiny next to FPM's full graph.
 	if oursEarly.edges*5 > fpm.edges {
 		t.Errorf("Ours-Early extracted %d edges vs FPM %d — not <20%%", oursEarly.edges, fpm.edges)
+	}
+}
+
+// TestHeadlineCSSWork is the deterministic twin of TestHeadlineClaims'
+// claim 2: on the same two designs, IC-CSS+'s CSS phase does at least twice
+// Ours' timer work — pins re-timed forward and backward plus arcs walked by
+// extraction — so a regression shows up without a wall clock.
+func TestHeadlineCSSWork(t *testing.T) {
+	work := func(d *iterskew.Design, schedule func(sched.TimingView, sched.Options) (*sched.Result, error)) int64 {
+		tm, err := timing.New(d, delay.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := tm.Stats
+		for _, mode := range []timing.Mode{timing.Early, timing.Late} {
+			if _, err := schedule(tm, sched.Options{Mode: mode}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := tm.Stats
+		return st.ForwardPinVisits - before.ForwardPinVisits +
+			st.BackwardPinVisits - before.BackwardPinVisits +
+			st.ExtractArcVisits - before.ExtractArcVisits
+	}
+	var ours, ic int64
+	for _, name := range []string{"superblue18", "superblue5"} {
+		p, err := iterskew.SuperblueProfile(name, 0.005)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := iterskew.GenerateBenchmark(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ours += work(d, core.Schedule)
+		ic += work(d, iccss.Schedule)
+	}
+	t.Logf("CSS work: IC-CSS+ %d, Ours %d (%.2fx)", ic, ours, float64(ic)/float64(ours))
+	if ic < 2*ours {
+		t.Errorf("IC-CSS+ CSS work %d is not 2x Ours' %d", ic, ours)
 	}
 }
 

@@ -94,7 +94,7 @@ func hashOfBytes(netlistText []byte, m delay.Model) Hash {
 
 const (
 	magic   = "ISKG"
-	version = 1
+	version = 2
 )
 
 // Section tags, in file order.
@@ -117,8 +117,7 @@ const (
 	secSnapReqMin
 	secSnapReqMax
 	secSnapBaseLat
-	secSnapNetLoad
-	secSnapNetDirty
+	secSnapDIn
 	secStats
 
 	secFirst = secMeta
@@ -143,8 +142,8 @@ var hostLittleEndian = func() bool {
 func init() {
 	// Layout guards for the zero-copy views. These are compile-time facts
 	// today; if the timing types grow, the codec must grow with them.
-	if unsafe.Sizeof(timing.Arc{}) != 8 {
-		panic("graphio: timing.Arc is no longer 8 bytes; update the codec")
+	if unsafe.Sizeof(timing.Arc{}) != 4 {
+		panic("graphio: timing.Arc is no longer 4 bytes; update the codec")
 	}
 	if unsafe.Sizeof(timing.EndpointID(0)) != 4 || unsafe.Sizeof(netlist.PinID(0)) != 4 {
 		panic("graphio: ID types are no longer int32; update the codec")
@@ -192,9 +191,9 @@ func Write(w io.Writer, g *timing.Graph) error {
 	e.section(secLevel, 4*len(s.Level), func() { e.i32s(s.Level) })
 	e.section(secOrder, 4*len(s.Order), func() { e.i32s(pinsAsI32(s.Order)) })
 	e.section(secFwdOff, 4*len(s.FwdOff), func() { e.i32s(s.FwdOff) })
-	e.section(secFwdArc, 8*len(s.FwdArc), func() { e.arcs(s.FwdArc) })
+	e.section(secFwdArc, 4*len(s.FwdArc), func() { e.arcs(s.FwdArc) })
 	e.section(secBwdOff, 4*len(s.BwdOff), func() { e.i32s(s.BwdOff) })
-	e.section(secBwdArc, 8*len(s.BwdArc), func() { e.arcs(s.BwdArc) })
+	e.section(secBwdArc, 4*len(s.BwdArc), func() { e.arcs(s.BwdArc) })
 	e.section(secEndpoints, 9*len(s.Endpoints), func() {
 		for i := range s.Endpoints {
 			ep := &s.Endpoints[i]
@@ -215,8 +214,7 @@ func Write(w io.Writer, g *timing.Graph) error {
 	e.section(secSnapReqMin, 8*len(s.SnapReqMin), func() { e.f64s(s.SnapReqMin) })
 	e.section(secSnapReqMax, 8*len(s.SnapReqMax), func() { e.f64s(s.SnapReqMax) })
 	e.section(secSnapBaseLat, 8*len(s.SnapBaseLat), func() { e.f64s(s.SnapBaseLat) })
-	e.section(secSnapNetLoad, 8*len(s.SnapNetLoad), func() { e.f64s(s.SnapNetLoad) })
-	e.section(secSnapNetDirty, len(s.SnapNetDirty), func() { e.bools(s.SnapNetDirty) })
+	e.section(secSnapDIn, 8*len(s.SnapDIn), func() { e.f64s(s.SnapDIn) })
 	e.section(secStats, 6*8, func() {
 		st := s.SnapStats
 		e.u64(uint64(st.ForwardPinVisits))
@@ -394,12 +392,11 @@ func (e *encoder) arcs(v []timing.Arc) {
 		return
 	}
 	if hostLittleEndian {
-		e.buf = append(e.buf, unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v))...)
+		e.buf = append(e.buf, unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))...)
 		return
 	}
 	for i := range v {
 		e.u32(uint32(v[i].To))
-		e.u32(uint32(v[i].Net))
 	}
 }
 
@@ -568,7 +565,7 @@ func f64view(p []byte) []float64 {
 
 // arcview reinterprets (or converts) a payload as CSR arcs.
 func arcview(p []byte) []timing.Arc {
-	n := len(p) / 8
+	n := len(p) / 4
 	if n == 0 {
 		return nil
 	}
@@ -577,8 +574,7 @@ func arcview(p []byte) []timing.Arc {
 	}
 	v := make([]timing.Arc, n)
 	for i := range v {
-		v[i].To = netlist.PinID(int32(binary.LittleEndian.Uint32(p[8*i:])))
-		v[i].Net = netlist.NetID(int32(binary.LittleEndian.Uint32(p[8*i+4:])))
+		v[i].To = netlist.PinID(int32(binary.LittleEndian.Uint32(p[4*i:])))
 	}
 	return v
 }
@@ -622,7 +618,7 @@ func (d *decoder) arcsSec(tag uint32) ([]timing.Arc, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(p)%8 != 0 {
+	if len(p)%4 != 0 {
 		return nil, fmt.Errorf("graphio: section %d length %d is not arc-aligned", tag, len(p))
 	}
 	return arcview(p), nil
@@ -644,7 +640,7 @@ func (d *decoder) sized(tag uint32, want int) ([]byte, error) {
 // d + m via timing.GraphFromSlabs (which performs the structural
 // validation).
 func (d *decoder) graph(design *netlist.Design, m delay.Model) (*timing.Graph, error) {
-	np, nc, nn, nf := len(design.Pins), len(design.Cells), len(design.Nets), len(design.FFs)
+	np, nc, nf := len(design.Pins), len(design.Cells), len(design.FFs)
 	var s timing.GraphSlabs
 	var err error
 
@@ -732,10 +728,7 @@ func (d *decoder) graph(design *netlist.Design, m delay.Model) (*timing.Graph, e
 	if s.SnapBaseLat, err = d.f64s(secSnapBaseLat, nf); err != nil {
 		return nil, err
 	}
-	if s.SnapNetLoad, err = d.f64s(secSnapNetLoad, nn); err != nil {
-		return nil, err
-	}
-	if s.SnapNetDirty, err = d.bools(secSnapNetDirty, nn); err != nil {
+	if s.SnapDIn, err = d.f64s(secSnapDIn, np); err != nil {
 		return nil, err
 	}
 	stRaw, err := d.sized(secStats, 6*8)

@@ -40,9 +40,8 @@ func encode(t testing.TB, g *timing.Graph) []byte {
 	return buf.Bytes()
 }
 
-// requireSlabsEqual asserts two graphs expose identical compiled slabs.
-// Net loads are compared only where both snapshots have them materialized;
-// which nets the lazy cache happened to fill is not part of the contract.
+// requireSlabsEqual asserts two graphs expose identical compiled slabs,
+// snapshot floats bit for bit.
 func requireSlabsEqual(t testing.TB, got, want *timing.Graph) {
 	t.Helper()
 	gs, ws := got.Slabs(), want.Slabs()
@@ -119,14 +118,7 @@ func requireSlabsEqual(t testing.TB, got, want *timing.Graph) {
 	cmpF64("snapReqMin", gs.SnapReqMin, ws.SnapReqMin)
 	cmpF64("snapReqMax", gs.SnapReqMax, ws.SnapReqMax)
 	cmpF64("snapBaseLat", gs.SnapBaseLat, ws.SnapBaseLat)
-	for n := range ws.SnapNetLoad {
-		if gs.SnapNetDirty[n] || ws.SnapNetDirty[n] {
-			continue
-		}
-		if math.Float64bits(gs.SnapNetLoad[n]) != math.Float64bits(ws.SnapNetLoad[n]) {
-			t.Fatalf("snapNetLoad[%d]: %v != %v", n, gs.SnapNetLoad[n], ws.SnapNetLoad[n])
-		}
-	}
+	cmpF64("snapDIn", gs.SnapDIn, ws.SnapDIn)
 	if gs.SnapStats != ws.SnapStats {
 		t.Fatalf("snapStats: %+v != %+v", gs.SnapStats, ws.SnapStats)
 	}

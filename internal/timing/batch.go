@@ -97,8 +97,6 @@ func (t *Timer) batchWorkers(workers, n int) int {
 // Edges are merged into dst in root order and worker counters fold into
 // t.Stats, making the result and the stats identical to the serial loop.
 func (t *Timer) runBatch(n, workers int, dst []SeqEdge, trace func(w *extractWorker, i int)) []SeqEdge {
-	// Workers must never touch the lazy load cache concurrently.
-	t.refreshNetLoads()
 	ws := t.pool.prepare(workers, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup

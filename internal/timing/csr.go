@@ -12,23 +12,22 @@ import (
 // once and every propagation, levelization and extraction walk iterates plain
 // slices instead of re-deriving fanin/fanout through net and cell probing.
 //
-// An arc stores its target pin plus the information needed to re-derive its
-// current delay cheaply:
+// An arc stores only its target pin. Its delay lives in the state's per-pin
+// delay array (see State.dIn), keyed by the arc's head — the pin it enters:
 //
-//   - wire arc (Net != NoNet): driver→sink interconnect arc over Net; the
-//     delay is M.SinkWireDelay(D, Net, sinkPin), where the sink pin is the
-//     input-pin end of the arc (the CSR owner for backward arcs, the target
-//     for forward arcs);
-//   - cell arc (Net == NoNet): combinational input→output arc; the delay is
-//     cellArcDelay(outPin), where the output pin is the CSR owner for
-//     backward arcs and the target for forward arcs.
+//   - wire arc (driver → sink): dIn[sink], the sink's branch delay;
+//   - cell arc (combinational input → output): dIn[out], the cell delay
+//     under the output net's current load, shared by every input of the
+//     cell.
 //
-// A pin's arcs are homogeneous (an input pin has only wire fanin and cell
-// fanout; an output pin the reverse), which the hot loops exploit by hoisting
-// the shared cell-arc delay out of the loop.
+// So a forward arc's delay is dIn[a.To], and every fanin arc of pin p shares
+// dIn[p]: an input pin has exactly one wire fanin, and an output pin's cell
+// arcs share one delay. The array also holds the load-dependent launch delay
+// of each source (FF Q, input port), whose fanin is empty. Two CSR facts keep
+// the hot loops off the netlist: a pin with fanin arcs is never a source, and
+// a pin with fanout arcs is never an endpoint.
 type arcRef struct {
-	To  netlist.PinID
-	Net netlist.NetID // NoNet ⇒ cell arc
+	To netlist.PinID
 }
 
 // buildCSR flattens the data timing graph. classifyPins must have run.
@@ -43,7 +42,6 @@ func (g *Graph) buildCSR() {
 		if !g.inData[i] {
 			continue
 		}
-		p := netlist.PinID(i)
 		pin := &d.Pins[i]
 		if pin.Dir == netlist.DirIn {
 			// Fanin: the driver of the pin's net, when in the data graph.
@@ -61,7 +59,6 @@ func (g *Graph) buildCSR() {
 				g.bwdOff[out+1]++
 			}
 		}
-		_ = p
 	}
 	for i := 0; i < np; i++ {
 		g.fwdOff[i+1] += g.fwdOff[i]
@@ -84,9 +81,9 @@ func (g *Graph) buildCSR() {
 			if pin.Net != netlist.NoNet && !d.Nets[pin.Net].IsClock {
 				for _, s := range d.Nets[pin.Net].Sinks {
 					if g.inData[s] {
-						g.fwdArc[g.fwdOff[i]+fc[i]] = arcRef{To: s, Net: pin.Net}
+						g.fwdArc[g.fwdOff[i]+fc[i]] = arcRef{To: s}
 						fc[i]++
-						g.bwdArc[g.bwdOff[s]+bc[s]] = arcRef{To: netlist.PinID(i), Net: pin.Net}
+						g.bwdArc[g.bwdOff[s]+bc[s]] = arcRef{To: netlist.PinID(i)}
 						bc[s]++
 					}
 				}
@@ -96,9 +93,9 @@ func (g *Graph) buildCSR() {
 			if cell.Type.Kind == netlist.KindComb {
 				for k := 0; k < cell.Type.NumInputs; k++ {
 					in := cell.Pins[k]
-					g.bwdArc[g.bwdOff[i]+bc[i]] = arcRef{To: in, Net: netlist.NoNet}
+					g.bwdArc[g.bwdOff[i]+bc[i]] = arcRef{To: in}
 					bc[i]++
-					g.fwdArc[g.fwdOff[in]+fc[in]] = arcRef{To: netlist.PinID(i), Net: netlist.NoNet}
+					g.fwdArc[g.fwdOff[in]+fc[in]] = arcRef{To: netlist.PinID(i)}
 					fc[in]++
 				}
 			}
@@ -116,38 +113,11 @@ func (g *Graph) fanoutArcs(p netlist.PinID) []arcRef {
 	return g.fwdArc[g.fwdOff[p]:g.fwdOff[p+1]]
 }
 
-// fanoutArcDelay returns the delay of a forward arc leaving any pin: the
-// sink-specific wire delay, or the target output's cell-arc delay.
-func (t *Timer) fanoutArcDelay(a arcRef) float64 {
-	if a.Net == netlist.NoNet {
-		return t.cellArcDelay(a.To)
-	}
-	return t.M.SinkWireDelay(t.D, a.Net, a.To)
-}
-
 // forEachFanin invokes f for every data arc entering pin p with the arc's
 // current delay. Hot paths iterate the CSR directly; this closure form
-// remains for tests and cold callers.
+// remains for tests.
 func (t *Timer) forEachFanin(p netlist.PinID, f func(q netlist.PinID, d float64)) {
-	arcs := t.faninArcs(p)
-	if len(arcs) == 0 {
-		return
-	}
-	if arcs[0].Net == netlist.NoNet {
-		cd := t.cellArcDelay(p) // shared by all inputs of the cell
-		for _, a := range arcs {
-			f(a.To, cd)
-		}
-		return
-	}
-	for _, a := range arcs {
-		f(a.To, t.M.SinkWireDelay(t.D, a.Net, p))
-	}
-}
-
-// forEachFanout invokes f for every data arc leaving pin p.
-func (t *Timer) forEachFanout(p netlist.PinID, f func(q netlist.PinID, d float64)) {
-	for _, a := range t.fanoutArcs(p) {
-		f(a.To, t.fanoutArcDelay(a))
+	for _, a := range t.faninArcs(p) {
+		f(a.To, t.dIn[p])
 	}
 }

@@ -6,8 +6,7 @@ import "slices"
 // external tests' bitwise comparisons.
 type Analysis struct {
 	AtMin, AtMax, ReqMin, ReqMax []float64
-	BaseLat, ExtraLat, NetLoad   []float64
-	NetDirty                     []bool
+	BaseLat, ExtraLat, DIn       []float64
 	ClkIn                        float64
 	ClkInOK                      bool
 }
@@ -18,7 +17,7 @@ func (t *State) CopyAnalysis() Analysis {
 		AtMin: slices.Clone(t.atMin), AtMax: slices.Clone(t.atMax),
 		ReqMin: slices.Clone(t.reqMin), ReqMax: slices.Clone(t.reqMax),
 		BaseLat: slices.Clone(t.baseLat), ExtraLat: slices.Clone(t.extraLat),
-		NetLoad: slices.Clone(t.netLoad), NetDirty: slices.Clone(t.netDirty),
+		DIn:   slices.Clone(t.dIn),
 		ClkIn: t.clkIn, ClkInOK: t.clkInOK,
 	}
 }

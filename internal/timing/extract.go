@@ -123,7 +123,7 @@ func (t *Timer) ExtractEssentialAt(e EndpointID, m Mode, margin float64, dst []S
 
 // extractEssential is the reentrant core of ExtractEssentialAt: all mutable
 // state lives in st and cnt, so batch workers run it concurrently against
-// read-only timer state (loads must be refreshed first; see refreshNetLoads).
+// read-only timer state.
 func (t *Timer) extractEssential(st *traceState, cnt *Counters, e EndpointID, m Mode, margin float64, dst []SeqEdge) []SeqEdge {
 	ep := t.endpoints[e]
 	p0 := ep.Pin
@@ -158,28 +158,22 @@ func (t *Timer) extractEssential(st *traceState, cnt *Counters, e EndpointID, m 
 		p := st.stack[len(st.stack)-1]
 		st.stack = st.stack[:len(st.stack)-1]
 		dd := st.get(p, 0)
-		if _, _, isSrc := t.sourceArrival(p); isSrc {
-			if late {
-				st.note(t.D.Pins[p].Cell, t.atMax[p]+dd, true)
-			} else {
-				st.note(t.D.Pins[p].Cell, t.atMin[p]+dd, false)
+		arcs := t.faninArcs(p)
+		if len(arcs) == 0 {
+			if _, _, isSrc := t.sourceArrival(p); isSrc {
+				if late {
+					st.note(t.D.Pins[p].Cell, t.atMax[p]+dd, true)
+				} else {
+					st.note(t.D.Pins[p].Cell, t.atMin[p]+dd, false)
+				}
 			}
 			continue
 		}
-		arcs := t.faninArcs(p)
 		cnt.ExtractArcVisits += int64(len(arcs))
-		cellArc := len(arcs) > 0 && arcs[0].Net == netlist.NoNet
-		var cd float64
-		if cellArc {
-			cd = t.cellArcDelay(p) // shared by all inputs of the cell
-		}
+		ad := t.dIn[p] * der // shared by every fanin arc
 		for _, a := range arcs {
 			q := a.To
-			ad := cd
-			if !cellArc {
-				ad = t.M.SinkWireDelay(t.D, a.Net, p)
-			}
-			nd := dd + ad*der
+			nd := dd + ad
 			if late {
 				if math.IsInf(t.atMax[q], -1) || t.atMax[q]+nd <= limit+eps {
 					continue // cannot complete into a violation
@@ -251,15 +245,17 @@ func (t *Timer) extractAllFrom(st *traceState, cnt *Counters, launch netlist.Cel
 		p := st.stack[len(st.stack)-1]
 		st.stack = st.stack[:len(st.stack)-1]
 		dd := st.get(p, 0)
-		if _, _, isEnd := t.endpointRequired(p); isEnd {
-			st.note(t.D.Pins[p].Cell, dd, late)
+		arcs := t.fanoutArcs(p)
+		if len(arcs) == 0 {
+			if _, _, isEnd := t.endpointRequired(p); isEnd {
+				st.note(t.D.Pins[p].Cell, dd, late)
+			}
 			continue
 		}
-		arcs := t.fanoutArcs(p)
 		cnt.ExtractArcVisits += int64(len(arcs))
 		for _, a := range arcs {
 			q := a.To
-			nd := dd + t.fanoutArcDelay(a)*der
+			nd := dd + t.dIn[q]*der
 			if late {
 				if cur := st.get(q, def); nd <= cur {
 					continue
@@ -336,24 +332,18 @@ func (t *Timer) extractAllInto(st *traceState, cnt *Counters, capture netlist.Ce
 		p := st.stack[len(st.stack)-1]
 		st.stack = st.stack[:len(st.stack)-1]
 		dd := st.get(p, 0)
-		if _, _, isSrc := t.sourceArrival(p); isSrc {
-			st.note(t.D.Pins[p].Cell, dd, late)
+		arcs := t.faninArcs(p)
+		if len(arcs) == 0 {
+			if _, _, isSrc := t.sourceArrival(p); isSrc {
+				st.note(t.D.Pins[p].Cell, dd, late)
+			}
 			continue
 		}
-		arcs := t.faninArcs(p)
 		cnt.ExtractArcVisits += int64(len(arcs))
-		cellArc := len(arcs) > 0 && arcs[0].Net == netlist.NoNet
-		var cd float64
-		if cellArc {
-			cd = t.cellArcDelay(p)
-		}
+		ad := t.dIn[p] * der
 		for _, a := range arcs {
 			q := a.To
-			ad := cd
-			if !cellArc {
-				ad = t.M.SinkWireDelay(t.D, a.Net, p)
-			}
-			nd := dd + ad*der
+			nd := dd + ad
 			if late {
 				if cur := st.get(q, def); nd <= cur {
 					continue
@@ -407,13 +397,16 @@ func (t *Timer) computeDOut() {
 	}
 	for i := len(t.order) - 1; i >= 0; i-- {
 		p := t.order[i]
-		if _, _, isEnd := t.endpointRequired(p); isEnd {
-			t.dout[p] = 0
-			continue
+		arcs := t.fanoutArcs(p)
+		if len(arcs) == 0 {
+			if _, _, isEnd := t.endpointRequired(p); isEnd {
+				t.dout[p] = 0
+				continue
+			}
 		}
 		best := math.Inf(-1)
-		for _, a := range t.fanoutArcs(p) {
-			if v := t.dout[a.To] + t.fanoutArcDelay(a)*t.dLate; v > best {
+		for _, a := range arcs {
+			if v := t.dout[a.To] + t.dIn[a.To]*t.dLate; v > best {
 				best = v
 			}
 		}
@@ -448,16 +441,15 @@ func (t *Timer) WorstPath(e EndpointID, m Mode) []netlist.PinID {
 	var rev []netlist.PinID
 	for {
 		rev = append(rev, p)
-		if _, _, isSrc := t.sourceArrival(p); isSrc {
-			break
-		}
 		best := netlist.NoPin
 		bestErr := math.Inf(1)
 		target := t.atMax[p]
 		if m == Early {
 			target = t.atMin[p]
 		}
-		t.forEachFanin(p, func(q netlist.PinID, d float64) {
+		d := t.dIn[p] // shared by every fanin arc
+		for _, a := range t.faninArcs(p) {
+			q := a.To
 			var at float64
 			if m == Late {
 				at = t.atMax[q]
@@ -468,9 +460,9 @@ func (t *Timer) WorstPath(e EndpointID, m Mode) []netlist.PinID {
 				bestErr = err
 				best = q
 			}
-		})
+		}
 		if best == netlist.NoPin || len(rev) > len(t.D.Pins) {
-			break // disconnected or inconsistent state: stop defensively
+			break // a source (it has no fanin), or a disconnected or inconsistent state
 		}
 		p = best
 	}

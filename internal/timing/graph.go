@@ -9,10 +9,10 @@ import (
 
 // Graph is the immutable, compiled view of a design's timing structure:
 // topology (which pins belong to the data graph), CSR forward/backward
-// adjacency, topological levels, endpoint tables and the per-level buckets
-// used by parallel propagation. It is built once by Compile and from then on
-// only read — any number of States (and hence goroutines) may share one
-// Graph concurrently, which is what makes the engine's compile-once /
+// adjacency, topological levels and the level-major order, endpoint tables
+// and the pristine analysis snapshot. It is built once by Compile and from
+// then on only read — any number of States (and hence goroutines) may share
+// one Graph concurrently, which is what makes the engine's compile-once /
 // schedule-many model sound.
 //
 // The split mirrors the paper's premise (§III-B1): the compiled timing graph
@@ -42,19 +42,16 @@ type Graph struct {
 	endpointOf []EndpointID // cell -> endpoint (-1 if none)
 	ffIdx      []int32      // cell -> FF index (-1 if not a FF)
 
-	// Topological order grouped by level; Slabs derives the codec's bucket
-	// offsets from it.
-	lvlBuckets [][]netlist.PinID
-
 	// Pristine post-compile analysis snapshot: the result of a full update
 	// at the design's period with zero extra latencies. NewState memcpys it
 	// instead of re-propagating, making per-session setup a small constant
-	// factor over the array allocations alone.
+	// factor over the array allocations alone. snapDIn, the per-pin arc
+	// delays, is not copied: states share it read-only until they change a
+	// delay.
 	snapAtMin, snapAtMax   []float64
 	snapReqMin, snapReqMax []float64
 	snapBaseLat            []float64
-	snapNetLoad            []float64
-	snapNetDirty           []bool
+	snapDIn                []float64
 	snapStats              Counters
 }
 
@@ -96,11 +93,12 @@ func Compile(d *netlist.Design, m delay.Model) (*Graph, error) {
 	// Bootstrap analysis: run the one full update every timer historically
 	// performed at construction, then keep its arrays as the snapshot.
 	s := g.blankState()
+	s.dIn, s.dInOwned = make([]float64, np), true
 	s.FullUpdate()
 	g.snapAtMin, g.snapAtMax = s.atMin, s.atMax
 	g.snapReqMin, g.snapReqMax = s.reqMin, s.reqMax
 	g.snapBaseLat = s.baseLat
-	g.snapNetLoad, g.snapNetDirty = s.netLoad, s.netDirty
+	g.snapDIn = s.dIn
 	g.snapStats = s.Stats
 	return g, nil
 }
@@ -173,11 +171,11 @@ func (g *Graph) levelize() error {
 }
 
 // buildOrderBuckets canonicalizes the topological order into level-major,
-// pin-index order and carves the per-level buckets as contiguous subslices of
-// it. Every data arc strictly increases level, so the canonical order is a
-// valid topological order; unlike the Kahn discovery order it depends only on
-// the levels themselves, which is what lets Recompile reproduce a
-// from-scratch Compile exactly after a localized edit.
+// pin-index order, so each level's pins form one contiguous run of it. Every
+// data arc strictly increases level, so the canonical order is a valid
+// topological order; unlike the Kahn discovery order it depends only on the
+// levels themselves, which is what lets Recompile reproduce a from-scratch
+// Compile exactly after a localized edit.
 func (g *Graph) buildOrderBuckets() {
 	off := make([]int32, g.maxLvl+2)
 	for _, p := range g.order {
@@ -198,15 +196,12 @@ func (g *Graph) buildOrderBuckets() {
 		cur[l]++
 	}
 	g.order = flat
-	g.lvlBuckets = make([][]netlist.PinID, g.maxLvl+1)
-	for l := int32(0); l <= g.maxLvl; l++ {
-		g.lvlBuckets[l] = flat[off[l]:off[l+1]:off[l+1]]
-	}
 }
 
-// blankState allocates a State over g with zeroed analysis arrays and the
-// design-default period and derates. Callers must establish valid arrival
-// and required times (FullUpdate or a snapshot restore) before analysis.
+// blankState allocates a State over g with zeroed analysis arrays, no delay
+// array, and the design-default period and derates. Callers must install a
+// delay array and establish valid arrival and required times (a snapshot
+// restore, or an owned array and FullUpdate) before analysis.
 func (g *Graph) blankState() *State {
 	d := g.D
 	np := len(d.Pins)
@@ -220,8 +215,6 @@ func (g *Graph) blankState() *State {
 	t.atMax = make([]float64, np)
 	t.reqMin = make([]float64, np)
 	t.reqMax = make([]float64, np)
-	t.netLoad = make([]float64, len(d.Nets))
-	t.netDirty = make([]bool, len(d.Nets))
 	t.netSeen = make([]bool, len(d.Nets))
 	t.inFwd = make([]bool, np)
 	t.inBwd = make([]bool, np)
@@ -245,7 +238,8 @@ func (g *Graph) NewState() *State {
 	return t
 }
 
-// restoreSnapshot copies the pristine post-compile analysis into t.
+// restoreSnapshot copies the pristine post-compile analysis into t and
+// shares the snapshot's delay array, dropping any copy t made of it.
 func (t *State) restoreSnapshot() {
 	g := t.Graph
 	copy(t.atMin, g.snapAtMin)
@@ -253,8 +247,7 @@ func (t *State) restoreSnapshot() {
 	copy(t.reqMin, g.snapReqMin)
 	copy(t.reqMax, g.snapReqMax)
 	copy(t.baseLat, g.snapBaseLat)
-	copy(t.netLoad, g.snapNetLoad)
-	copy(t.netDirty, g.snapNetDirty)
+	t.dIn, t.dInOwned = g.snapDIn, false
 	t.clkInOK = false
 	t.Stats = g.snapStats
 }

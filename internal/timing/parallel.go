@@ -7,8 +7,8 @@ import "sync"
 // successors, [14]–[17]): pins on the same topological level have no
 // arrival dependencies among each other, so Update evaluates each large
 // level bucket with a worker pool, with a barrier between levels (see
-// runForward and runBackward). Net loads are refreshed serially first so
-// the workers never touch the lazy load cache.
+// runForward and runBackward). Update refreshes the arc delays serially
+// before it propagates, so the workers only read them.
 
 // chunked splits [0,n) into contiguous ranges and runs body on each from its
 // own goroutine, waiting for all of them. body(lo, hi) must only touch state

@@ -48,7 +48,7 @@ const recompileFullFraction = 4
 // snapshot values bit-for-bit — to a from-scratch Compile of the mutated
 // design, at a cost proportional to the edit's cone rather than the graph.
 //
-// Deltas that change the design's shape (cell/pin/net counts, pin
+// Deltas that change the design's shape (cell/pin counts, pin
 // classification, FF set) and deltas whose cone estimate exceeds 1/4 of the
 // graph fall back to a full Compile (Stats.Full). On error the graph may be
 // partially patched and must be discarded; existing States over the graph
@@ -63,8 +63,7 @@ func (g *Graph) Recompile(delta Delta) (RecompileStats, error) {
 	}
 
 	// Shape changes can't be patched: the slab lengths are load-bearing.
-	if np != len(g.inData) || len(d.Cells) != len(g.endpointOf) ||
-		len(d.Nets) != len(g.snapNetLoad) || len(d.FFs) != len(g.snapBaseLat) {
+	if np != len(g.inData) || len(d.Cells) != len(g.endpointOf) || len(d.FFs) != len(g.snapBaseLat) {
 		return g.recompileFull(&st)
 	}
 
@@ -204,7 +203,21 @@ func (g *Graph) Recompile(delta Delta) (RecompileStats, error) {
 	s := g.blankState()
 	s.restoreSnapshot()
 	for _, n := range nets {
-		s.netDirty[n] = true
+		s.refreshNet(n)
+	}
+	// A pin on no net is refreshed by no net: a delta cell's output driving
+	// nothing (SwapType still changes its delay), or a detached pin.
+	for _, c := range delta.Cells {
+		for _, p := range d.Cells[c].Pins {
+			if d.Pins[p].Net == netlist.NoNet {
+				s.refreshOffNet(p)
+			}
+		}
+	}
+	for _, p := range delta.Pins {
+		if d.Pins[p].Net == netlist.NoNet {
+			s.refreshOffNet(p)
+		}
 	}
 	g.refreshClockExact(s)
 	for _, p := range delta.Pins {
@@ -249,7 +262,7 @@ func (g *Graph) Recompile(delta Delta) (RecompileStats, error) {
 	g.snapAtMin, g.snapAtMax = s.atMin, s.atMax
 	g.snapReqMin, g.snapReqMax = s.reqMin, s.reqMax
 	g.snapBaseLat = s.baseLat
-	g.snapNetLoad, g.snapNetDirty = s.netLoad, s.netDirty
+	g.snapDIn = s.dIn
 	g.snapStats = Counters{
 		FullUpdates:       1,
 		ForwardPinVisits:  int64(len(g.order)),
@@ -298,14 +311,14 @@ func (g *Graph) fwdArcsNow(p netlist.PinID, dst []arcRef) []arcRef {
 	if pin.Dir == netlist.DirIn {
 		cell := &d.Cells[pin.Cell]
 		if cell.Type.Kind == netlist.KindComb {
-			dst = append(dst, arcRef{To: cell.Pins[len(cell.Pins)-1], Net: netlist.NoNet})
+			dst = append(dst, arcRef{To: cell.Pins[len(cell.Pins)-1]})
 		}
 		return dst
 	}
 	if pin.Net != netlist.NoNet && !d.Nets[pin.Net].IsClock {
 		for _, s := range d.Nets[pin.Net].Sinks {
 			if g.inData[s] {
-				dst = append(dst, arcRef{To: s, Net: pin.Net})
+				dst = append(dst, arcRef{To: s})
 			}
 		}
 	}
@@ -320,7 +333,7 @@ func (g *Graph) bwdArcsNow(p netlist.PinID, dst []arcRef) []arcRef {
 	if pin.Dir == netlist.DirIn {
 		if pin.Net != netlist.NoNet {
 			if drv := d.Nets[pin.Net].Driver; drv != netlist.NoPin && g.inData[drv] {
-				dst = append(dst, arcRef{To: drv, Net: pin.Net})
+				dst = append(dst, arcRef{To: drv})
 			}
 		}
 		return dst
@@ -328,7 +341,7 @@ func (g *Graph) bwdArcsNow(p netlist.PinID, dst []arcRef) []arcRef {
 	cell := &d.Cells[pin.Cell]
 	if cell.Type.Kind == netlist.KindComb {
 		for k := 0; k < cell.Type.NumInputs; k++ {
-			dst = append(dst, arcRef{To: cell.Pins[k], Net: netlist.NoNet})
+			dst = append(dst, arcRef{To: cell.Pins[k]})
 		}
 	}
 	return dst

@@ -8,7 +8,7 @@ import (
 )
 
 // Arc is the exported name of the CSR arc record (see csr.go): the target
-// pin plus the net the arc crosses (NoNet for a combinational cell arc).
+// pin alone.
 type Arc = arcRef
 
 // GraphSlabs is the flat, serialization-ready view of a compiled Graph:
@@ -38,8 +38,7 @@ type GraphSlabs struct {
 	SnapAtMin, SnapAtMax   []float64
 	SnapReqMin, SnapReqMax []float64
 	SnapBaseLat            []float64
-	SnapNetLoad            []float64
-	SnapNetDirty           []bool
+	SnapDIn                []float64 // per-pin arc delays (see csr.go)
 	SnapStats              Counters
 }
 
@@ -47,30 +46,32 @@ type GraphSlabs struct {
 // graph's internal arrays (BucketOff is derived); do not modify them.
 func (g *Graph) Slabs() GraphSlabs {
 	off := make([]int32, g.maxLvl+2)
+	for _, p := range g.order {
+		off[g.level[p]+1]++
+	}
 	for l := int32(0); l <= g.maxLvl; l++ {
-		off[l+1] = off[l] + int32(len(g.lvlBuckets[l]))
+		off[l+1] += off[l]
 	}
 	return GraphSlabs{
-		InData:       g.inData,
-		Level:        g.level,
-		Order:        g.order,
-		MaxLvl:       g.maxLvl,
-		FwdOff:       g.fwdOff,
-		BwdOff:       g.bwdOff,
-		FwdArc:       g.fwdArc,
-		BwdArc:       g.bwdArc,
-		Endpoints:    g.endpoints,
-		EndpointOf:   g.endpointOf,
-		FFIdx:        g.ffIdx,
-		BucketOff:    off,
-		SnapAtMin:    g.snapAtMin,
-		SnapAtMax:    g.snapAtMax,
-		SnapReqMin:   g.snapReqMin,
-		SnapReqMax:   g.snapReqMax,
-		SnapBaseLat:  g.snapBaseLat,
-		SnapNetLoad:  g.snapNetLoad,
-		SnapNetDirty: g.snapNetDirty,
-		SnapStats:    g.snapStats,
+		InData:      g.inData,
+		Level:       g.level,
+		Order:       g.order,
+		MaxLvl:      g.maxLvl,
+		FwdOff:      g.fwdOff,
+		BwdOff:      g.bwdOff,
+		FwdArc:      g.fwdArc,
+		BwdArc:      g.bwdArc,
+		Endpoints:   g.endpoints,
+		EndpointOf:  g.endpointOf,
+		FFIdx:       g.ffIdx,
+		BucketOff:   off,
+		SnapAtMin:   g.snapAtMin,
+		SnapAtMax:   g.snapAtMax,
+		SnapReqMin:  g.snapReqMin,
+		SnapReqMax:  g.snapReqMax,
+		SnapBaseLat: g.snapBaseLat,
+		SnapDIn:     g.snapDIn,
+		SnapStats:   g.snapStats,
 	}
 }
 
@@ -83,13 +84,12 @@ func (g *Graph) Bytes() int64 {
 	b += int64(len(g.inData))                      // 1 byte each
 	b += 4 * int64(len(g.level)+len(g.order))      // int32
 	b += 4 * int64(len(g.fwdOff)+len(g.bwdOff))    // int32
-	b += 8 * int64(len(g.fwdArc)+len(g.bwdArc))    // two int32 per arc
+	b += 4 * int64(len(g.fwdArc)+len(g.bwdArc))    // one int32 per arc
 	b += 9 * int64(len(g.endpoints))               // pin + cell + isPort
 	b += 4 * int64(len(g.endpointOf)+len(g.ffIdx)) // int32
 	b += 4 * int64(g.maxLvl+2)                     // bucket offsets
 	b += 8 * int64(len(g.snapAtMin)+len(g.snapAtMax)+len(g.snapReqMin)+len(g.snapReqMax))
-	b += 8 * int64(len(g.snapBaseLat)+len(g.snapNetLoad))
-	b += int64(len(g.snapNetDirty))
+	b += 8 * int64(len(g.snapBaseLat)+len(g.snapDIn))
 	return b
 }
 
@@ -99,7 +99,7 @@ func (g *Graph) Bytes() int64 {
 // or mismatched payload is rejected instead of producing a graph that faults
 // later. The slab slices are adopted, not copied.
 func GraphFromSlabs(d *netlist.Design, m delay.Model, s GraphSlabs) (*Graph, error) {
-	np, nc, nn, nf := len(d.Pins), len(d.Cells), len(d.Nets), len(d.FFs)
+	np, nc, nf := len(d.Pins), len(d.Cells), len(d.FFs)
 	switch {
 	case len(s.InData) != np:
 		return nil, fmt.Errorf("timing: slabs: inData len %d, want %d pins", len(s.InData), np)
@@ -115,13 +115,13 @@ func GraphFromSlabs(d *netlist.Design, m delay.Model, s GraphSlabs) (*Graph, err
 		return nil, fmt.Errorf("timing: slabs: snapshot arrival/required arrays do not match %d pins", np)
 	case len(s.SnapBaseLat) != nf:
 		return nil, fmt.Errorf("timing: slabs: snapBaseLat len %d, want %d FFs", len(s.SnapBaseLat), nf)
-	case len(s.SnapNetLoad) != nn || len(s.SnapNetDirty) != nn:
-		return nil, fmt.Errorf("timing: slabs: net arrays len %d/%d, want %d nets", len(s.SnapNetLoad), len(s.SnapNetDirty), nn)
+	case len(s.SnapDIn) != np:
+		return nil, fmt.Errorf("timing: slabs: snapDIn len %d, want %d pins", len(s.SnapDIn), np)
 	}
-	if err := checkCSR(s.FwdOff, s.FwdArc, np, nn, "fwd"); err != nil {
+	if err := checkCSR(s.FwdOff, s.FwdArc, np, "fwd"); err != nil {
 		return nil, err
 	}
-	if err := checkCSR(s.BwdOff, s.BwdArc, np, nn, "bwd"); err != nil {
+	if err := checkCSR(s.BwdOff, s.BwdArc, np, "bwd"); err != nil {
 		return nil, err
 	}
 	nd := 0
@@ -175,21 +175,15 @@ func GraphFromSlabs(d *netlist.Design, m delay.Model, s GraphSlabs) (*Graph, err
 		endpoints: s.Endpoints, endpointOf: s.EndpointOf, ffIdx: s.FFIdx,
 		snapAtMin: s.SnapAtMin, snapAtMax: s.SnapAtMax,
 		snapReqMin: s.SnapReqMin, snapReqMax: s.SnapReqMax,
-		snapBaseLat: s.SnapBaseLat,
-		snapNetLoad: s.SnapNetLoad, snapNetDirty: s.SnapNetDirty,
+		snapBaseLat: s.SnapBaseLat, snapDIn: s.SnapDIn,
 		snapStats: s.SnapStats,
-	}
-	g.lvlBuckets = make([][]netlist.PinID, g.maxLvl+1)
-	for l := int32(0); l <= g.maxLvl; l++ {
-		lo, hi := s.BucketOff[l], s.BucketOff[l+1]
-		g.lvlBuckets[l] = g.order[lo:hi:hi]
 	}
 	return g, nil
 }
 
 // checkCSR validates one CSR direction: monotone offsets covering the arc
-// array, every arc target a valid pin and every arc net valid or NoNet.
-func checkCSR(off []int32, arc []Arc, np, nn int, dir string) error {
+// array and every arc target a valid pin.
+func checkCSR(off []int32, arc []Arc, np int, dir string) error {
 	if off[0] != 0 || int(off[np]) != len(arc) {
 		return fmt.Errorf("timing: slabs: %s offsets do not span arcs (first %d, last %d, arcs %d)", dir, off[0], off[np], len(arc))
 	}
@@ -198,15 +192,12 @@ func checkCSR(off []int32, arc []Arc, np, nn int, dir string) error {
 			return fmt.Errorf("timing: slabs: %s offsets decrease at pin %d", dir, i)
 		}
 	}
-	// Unsigned compares fold the negative and too-large cases into one
-	// branch each; this loop runs over every arc on the decode hot path.
-	upins, unets := uint32(np), uint32(nn)
+	// An unsigned compare folds the negative and too-large cases into one
+	// branch; this loop runs over every arc on the decode hot path.
+	upins := uint32(np)
 	for i, a := range arc {
 		if uint32(a.To) >= upins {
 			return fmt.Errorf("timing: slabs: %s arc %d target pin %d out of range", dir, i, a.To)
-		}
-		if a.Net != netlist.NoNet && uint32(a.Net) >= unets {
-			return fmt.Errorf("timing: slabs: %s arc %d net %d out of range", dir, i, a.Net)
 		}
 	}
 	return nil

@@ -23,6 +23,7 @@ package timing
 import (
 	"math"
 	"runtime"
+	"slices"
 
 	"iterskew/internal/delay"
 	"iterskew/internal/netlist"
@@ -75,7 +76,7 @@ type Counters struct {
 const eps = 1e-9
 
 // State is the mutable half of a timer: arrival/required times, clock
-// latencies, the per-net load cache, dirty queues and all per-session
+// latencies, the per-pin arc delays, dirty queues and all per-session
 // scratch, layered over an immutable compiled *Graph (embedded, so graph
 // topology and tables read naturally as t.level, t.fwdArc, ...). Many States
 // may share one Graph concurrently; a State itself is single-threaded
@@ -89,9 +90,12 @@ type State struct {
 	period        float64
 	dEarly, dLate float64 // analysis-corner derates (1.0 when unset)
 
-	// Per-net driver load cache.
-	netLoad  []float64
-	netDirty []bool
+	// Per-pin arc delays (see csr.go): dIn[p] is the delay of every data
+	// arc entering p, or a source's load-dependent launch delay. It starts
+	// as the graph's snapshot, shared read-only until the state's first
+	// changed entry copies it (dInOwned); setDIn is its one writer.
+	dIn      []float64
+	dInOwned bool
 
 	// Arrival and required times, indexed by pin.
 	atMin, atMax   []float64
@@ -171,36 +175,71 @@ func New(d *netlist.Design, m delay.Model) (*Timer, error) {
 	return g.NewState(), nil
 }
 
-// cellArcDelay returns the input→output delay of the cell owning output pin
-// out, under the current load of its output net.
-func (t *Timer) cellArcDelay(out netlist.PinID) float64 {
+// setDIn is the one writer of the delay array. It leaves an unchanged entry
+// alone, so a state whose delays never move keeps sharing the snapshot; the
+// first changed entry copies it, and an open checkpoint logs the old value.
+func (t *State) setDIn(p netlist.PinID, v float64) {
+	if math.Float64bits(t.dIn[p]) == math.Float64bits(v) {
+		return
+	}
+	if !t.dInOwned {
+		t.dIn = slices.Clone(t.dIn)
+		t.dInOwned = true
+	}
+	t.logDIn(p)
+	t.dIn[p] = v
+}
+
+// refreshNet re-derives the delays a data net carries: every sink's wire
+// delay and the driver's delay under the summed load, in one pass that
+// repeats delay.Model's NetLoad and SinkWireDelay arithmetic term for term.
+// Clock nets are skipped: the clock-network code times them itself.
+func (t *State) refreshNet(n netlist.NetID) {
 	d := t.D
-	pin := &d.Pins[out]
-	var load float64
-	if pin.Net != netlist.NoNet {
-		load = t.loadOf(pin.Net)
+	net := &d.Nets[n]
+	if net.IsClock {
+		return
 	}
-	return t.M.CellDelay(d.Cells[pin.Cell].Type, load)
-}
-
-func (t *Timer) loadOf(n netlist.NetID) float64 {
-	if t.netDirty[n] {
-		t.logLoad(n)
-		t.netLoad[n] = t.M.NetLoad(t.D, n)
-		t.netDirty[n] = false
-	}
-	return t.netLoad[n]
-}
-
-// refreshNetLoads recomputes every stale net load serially, so subsequent
-// concurrent readers never touch the lazy cache.
-func (t *Timer) refreshNetLoads() {
-	for n := range t.netDirty {
-		if t.netDirty[n] {
-			t.logLoad(netlist.NetID(n))
-			t.netLoad[n] = t.M.NetLoad(t.D, netlist.NetID(n))
-			t.netDirty[n] = false
+	if net.Driver == netlist.NoPin {
+		for _, s := range net.Sinks {
+			t.setDIn(s, 0)
 		}
+		return
+	}
+	dp := d.PinPos(net.Driver)
+	var load float64
+	for _, s := range net.Sinks {
+		pin := &d.Pins[s]
+		dist := dp.Manhattan(d.Cells[pin.Cell].Pos)
+		load += pin.Cap + t.M.WireCap(dist)
+		t.setDIn(s, t.M.WireDelay(dist, pin.Cap))
+	}
+	t.setDriverDelay(net.Driver, load)
+}
+
+// refreshOffNet re-derives the entry of a pin on no net: a driver's delay at
+// load 0, or 0 for an input pin, which has no wire fanin.
+func (t *State) refreshOffNet(p netlist.PinID) {
+	if t.D.Pins[p].Dir == netlist.DirOut {
+		t.setDriverDelay(p, 0)
+	} else {
+		t.setDIn(p, 0)
+	}
+}
+
+// setDriverDelay stores the delay of output pin p under load: a
+// combinational cell's arc delay, a flip-flop's clk→Q plus its drive, or an
+// input port's drive. Other drivers (LCBs, the clock root) carry no data
+// arc.
+func (t *State) setDriverDelay(p netlist.PinID, load float64) {
+	typ := t.D.Cells[t.D.Pins[p].Cell].Type
+	switch typ.Kind {
+	case netlist.KindComb:
+		t.setDIn(p, t.M.CellDelay(typ, load))
+	case netlist.KindFF:
+		t.setDIn(p, typ.ClkToQ+typ.DriveRes*load)
+	case netlist.KindPortIn:
+		t.setDIn(p, typ.DriveRes*load)
 	}
 }
 
@@ -445,7 +484,7 @@ func (t *Timer) retimeLCB(lcb netlist.CellID, rootNet netlist.NetID, changed []n
 	return changed
 }
 
-// FullUpdate recomputes the clock network, all net loads, and all arrival
+// FullUpdate recomputes the clock network, every arc delay, and all arrival
 // and required times from scratch, discarding the queued seeds. It closes
 // an open checkpoint, keeping its changes (as Commit does).
 func (t *Timer) FullUpdate() {
@@ -454,8 +493,13 @@ func (t *Timer) FullUpdate() {
 	t.Stats.FullUpdates++
 	t.undo.close()
 	t.clearWorklists()
-	for i := range t.netDirty {
-		t.netDirty[i] = true
+	for n := range t.D.Nets {
+		t.refreshNet(netlist.NetID(n))
+	}
+	for p := range t.D.Pins {
+		if t.D.Pins[p].Net == netlist.NoNet {
+			t.refreshOffNet(netlist.PinID(p))
+		}
 	}
 	t.recomputeClock(true)
 	t.clearDirty()
@@ -479,70 +523,50 @@ func (t *Timer) FullUpdate() {
 
 // sourceArrival returns the early and late launch arrivals for source pins,
 // and whether p is a source. The launch delay is load-dependent — clk→Q
-// (for flip-flops) plus the driver's resistance times the output net load —
-// and derated per analysis corner; clock latencies are not derated (ideal
-// common clock, no CPPR needed).
+// (for flip-flops) plus the driver's resistance times the output net load,
+// cached in dIn — and derated per analysis corner; clock latencies are not
+// derated (ideal common clock, no CPPR needed).
 func (t *Timer) sourceArrival(p netlist.PinID) (early, late float64, ok bool) {
 	d := t.D
-	pin := &d.Pins[p]
-	cell := &d.Cells[pin.Cell]
-	var load float64
-	switch cell.Type.Kind {
+	c := d.Pins[p].Cell
+	var lat float64
+	switch cell := &d.Cells[c]; cell.Type.Kind {
 	case netlist.KindFF:
 		if cell.Pins[netlist.FFPinQ] != p {
 			return 0, 0, false
 		}
-		if pin.Net != netlist.NoNet {
-			load = t.loadOf(pin.Net)
-		}
-		lat := t.Latency(pin.Cell)
-		base := cell.Type.ClkToQ + cell.Type.DriveRes*load
-		return lat + base*t.dEarly, lat + base*t.dLate, true
+		lat = t.Latency(c)
 	case netlist.KindPortIn:
-		if pin.Net != netlist.NoNet {
-			load = t.loadOf(pin.Net)
-		}
-		lat := d.PortLatency + d.InDelay[pin.Cell]
-		base := cell.Type.DriveRes * load
-		return lat + base*t.dEarly, lat + base*t.dLate, true
+		lat = d.PortLatency + d.InDelay[c]
+	default:
+		return 0, 0, false
 	}
-	return 0, 0, false
+	base := t.dIn[p]
+	return lat + base*t.dEarly, lat + base*t.dLate, true
 }
 
 // evalArrival recomputes atMin/atMax of p from its fanin; it reports whether
 // either value changed.
 func (t *Timer) evalArrival(p netlist.PinID) bool {
-	if srcE, srcL, ok := t.sourceArrival(p); ok {
-		changed := math.Abs(t.atMax[p]-srcL) > eps || math.Abs(t.atMin[p]-srcE) > eps
-		t.atMax[p] = srcL
-		t.atMin[p] = srcE
-		return changed
+	arcs := t.faninArcs(p)
+	if len(arcs) == 0 {
+		// Only a pin without fanin can be a source.
+		if srcE, srcL, ok := t.sourceArrival(p); ok {
+			changed := math.Abs(t.atMax[p]-srcL) > eps || math.Abs(t.atMin[p]-srcE) > eps
+			t.atMax[p] = srcL
+			t.atMin[p] = srcE
+			return changed
+		}
 	}
 	mx, mn := math.Inf(-1), math.Inf(1)
-	if arcs := t.faninArcs(p); len(arcs) > 0 {
-		if arcs[0].Net == netlist.NoNet {
-			// Cell arcs share one delay: the owning cell's arc under the
-			// current output load.
-			cd := t.cellArcDelay(p)
-			dl, de := cd*t.dLate, cd*t.dEarly
-			for _, a := range arcs {
-				if v := t.atMax[a.To] + dl; v > mx {
-					mx = v
-				}
-				if v := t.atMin[a.To] + de; v < mn {
-					mn = v
-				}
-			}
-		} else {
-			for _, a := range arcs {
-				d := t.M.SinkWireDelay(t.D, a.Net, p)
-				if v := t.atMax[a.To] + d*t.dLate; v > mx {
-					mx = v
-				}
-				if v := t.atMin[a.To] + d*t.dEarly; v < mn {
-					mn = v
-				}
-			}
+	d := t.dIn[p] // shared by every fanin arc
+	dl, de := d*t.dLate, d*t.dEarly
+	for _, a := range arcs {
+		if v := t.atMax[a.To] + dl; v > mx {
+			mx = v
+		}
+		if v := t.atMin[a.To] + de; v < mn {
+			mn = v
 		}
 	}
 	changed := !feq(t.atMax[p], mx) || !feq(t.atMin[p], mn)
@@ -584,15 +608,19 @@ func (t *Timer) portRequired(port netlist.CellID) (reqLate, reqEarly float64) {
 // evalRequired recomputes reqMax/reqMin of p from its fanout; it reports
 // whether either value changed.
 func (t *Timer) evalRequired(p netlist.PinID) bool {
-	if rl, re, ok := t.endpointRequired(p); ok {
-		changed := !feq(t.reqMax[p], rl) || !feq(t.reqMin[p], re)
-		t.reqMax[p] = rl
-		t.reqMin[p] = re
-		return changed
+	arcs := t.fanoutArcs(p)
+	if len(arcs) == 0 {
+		// Only a pin without fanout can be an endpoint.
+		if rl, re, ok := t.endpointRequired(p); ok {
+			changed := !feq(t.reqMax[p], rl) || !feq(t.reqMin[p], re)
+			t.reqMax[p] = rl
+			t.reqMin[p] = re
+			return changed
+		}
 	}
 	rl, re := math.Inf(1), math.Inf(-1)
-	for _, a := range t.fanoutArcs(p) {
-		d := t.fanoutArcDelay(a)
+	for _, a := range arcs {
+		d := t.dIn[a.To]
 		if v := t.reqMax[a.To] - d*t.dLate; v < rl {
 			rl = v
 		}
@@ -628,13 +656,18 @@ func (t *Timer) Update() int {
 		t.rec.Add(obs.CtrTimerDirtyCells, int64(len(t.dirtyCellList)))
 	}
 	if len(t.dirtyCellList) > 0 {
-		// Structural/positional change: refresh loads of incident nets and
-		// the clock network, then seed affected data pins.
+		// Structural/positional change: refresh the delays of incident nets
+		// and the clock network, then seed affected data pins.
 		t.netSeenList = t.netSeenList[:0]
 		for _, c := range t.dirtyCellList {
 			t.cellDirtyMark[c] = false
 			for _, p := range t.D.Cells[c].Pins {
-				if n := t.D.Pins[p].Net; n != netlist.NoNet && !t.netSeen[n] {
+				n := t.D.Pins[p].Net
+				if n == netlist.NoNet {
+					// No net carries the change (SwapType of a cell
+					// driving nothing): refresh the pin itself.
+					t.refreshOffNet(p)
+				} else if !t.netSeen[n] {
 					t.netSeen[n] = true
 					t.netSeenList = append(t.netSeenList, n)
 				}
@@ -642,8 +675,7 @@ func (t *Timer) Update() int {
 		}
 		t.dirtyCellList = t.dirtyCellList[:0]
 		for _, n := range t.netSeenList {
-			t.logLoad(n)
-			t.netDirty[n] = true
+			t.refreshNet(n)
 		}
 		for _, ff := range t.recomputeClock(false) {
 			t.markFFDirty(ff, t.ffIdx[ff])
@@ -690,10 +722,6 @@ func (t *Timer) Update() int {
 	}
 	t.dirtyFFList = t.dirtyFFList[:0]
 
-	if t.workers > 1 {
-		// Workers must never touch the lazy load cache concurrently.
-		t.refreshNetLoads()
-	}
 	visited, levels := t.runForward()
 	if t.rec != nil {
 		t.rec.Add(obs.CtrTimerPins, int64(visited))
@@ -803,10 +831,6 @@ func (t *Timer) settleRequired() {
 	}
 	if !t.reqStale {
 		return
-	}
-	if t.workers > 1 {
-		// Workers must never touch the lazy load cache concurrently.
-		t.refreshNetLoads()
 	}
 	visited, levels := t.runBackward()
 	t.reqStale = false

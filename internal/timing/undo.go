@@ -15,7 +15,7 @@ import (
 // open, every write Update makes to the analysis state first appends the old
 // value to an undo log: arrival times once per level bucket (never per pin
 // inside evalArrival, and on the serial and the worker path alike, so the
-// worker pool never touches the log), and net loads and clock latencies at
+// worker pool never touches the log), and arc delays and clock latencies at
 // their writers; the two-word clock-input cache is saved whole at
 // Checkpoint. Rollback replays the log backwards in O(log length), so a
 // rejected trial costs no second propagation, and SlackDelta reads the same
@@ -31,9 +31,9 @@ import (
 // undoLog is the open checkpoint's record of overwritten analysis values.
 type undoLog struct {
 	open bool
-	at   []pinTimes   // old (atMin, atMax) per arrival write
-	load []netLoadOld // old net-load cache entries
-	lat  []latOld     // old (base, extra) latency per FF write
+	at   []pinTimes // old (atMin, atMax) per arrival write
+	dIn  []dInOld   // old arc-delay entries
+	lat  []latOld   // old (base, extra) latency per FF write
 
 	// Clock-input cache at Checkpoint.
 	clkIn   float64
@@ -56,10 +56,9 @@ type pinTimes struct {
 	lo, hi float64
 }
 
-type netLoadOld struct {
-	n     netlist.NetID
-	load  float64
-	dirty bool
+type dInOld struct {
+	p netlist.PinID
+	v float64
 }
 
 type latOld struct {
@@ -76,7 +75,7 @@ type epOld struct {
 func (u *undoLog) close() {
 	u.open = false
 	u.at = u.at[:0]
-	u.load, u.lat = u.load[:0], u.lat[:0]
+	u.dIn, u.lat = u.dIn[:0], u.lat[:0]
 }
 
 // Checkpoint opens an undo log: from here on every analysis value that
@@ -106,8 +105,8 @@ func (t *State) Checkpoint() {
 // a no-op when no checkpoint is open.
 func (t *State) Commit() { t.undo.close() }
 
-// Rollback restores every arrival time, clock latency and cached net load
-// to its value at Checkpoint, bit for bit, empties the dirty queues and the
+// Rollback restores every arrival time, clock latency and arc delay to its
+// value at Checkpoint, bit for bit, empties the dirty queues and the
 // forward buckets, cuts the backward buckets back to their lengths at
 // Checkpoint (required times are never written inside a trial, so the
 // seeds queued before it, committed trials' included, stay queued), and
@@ -123,9 +122,9 @@ func (t *State) Rollback() {
 		e := &u.at[i]
 		t.atMin[e.p], t.atMax[e.p] = e.lo, e.hi
 	}
-	for i := len(u.load) - 1; i >= 0; i-- {
-		e := &u.load[i]
-		t.netLoad[e.n], t.netDirty[e.n] = e.load, e.dirty
+	for i := len(u.dIn) - 1; i >= 0; i-- {
+		e := &u.dIn[i]
+		t.dIn[e.p] = e.v
 	}
 	for i := len(u.lat) - 1; i >= 0; i-- {
 		e := &u.lat[i]
@@ -175,6 +174,9 @@ func (t *State) SlackDelta(m Mode) (dTNS, worst float64) {
 	}
 	for i := len(u.at) - 1; i >= 0; i-- {
 		e := &u.at[i]
+		if len(t.fanoutArcs(e.p)) > 0 {
+			continue // a pin with fanout is never an endpoint
+		}
 		ep := t.endpointOf[t.D.Pins[e.p].Cell]
 		if ep == NoEndpoint || t.endpoints[ep].Pin != e.p {
 			continue
@@ -230,10 +232,10 @@ func logTimes(dst []pinTimes, bucket []netlist.PinID, lo, hi []float64) []pinTim
 	return dst
 }
 
-// logLoad records net n's cache entry before it is overwritten.
-func (t *State) logLoad(n netlist.NetID) {
+// logDIn records pin p's arc-delay entry before it is overwritten.
+func (t *State) logDIn(p netlist.PinID) {
 	if t.undo.open {
-		t.undo.load = append(t.undo.load, netLoadOld{n: n, load: t.netLoad[n], dirty: t.netDirty[n]})
+		t.undo.dIn = append(t.undo.dIn, dInOld{p: p, v: t.dIn[p]})
 	}
 }
 

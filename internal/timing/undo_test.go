@@ -86,18 +86,13 @@ func requireAnalysisEqual(t *testing.T, step string, got, want timing.Analysis) 
 		{"atMin", got.AtMin, want.AtMin}, {"atMax", got.AtMax, want.AtMax},
 		{"reqMin", got.ReqMin, want.ReqMin}, {"reqMax", got.ReqMax, want.ReqMax},
 		{"baseLat", got.BaseLat, want.BaseLat}, {"extraLat", got.ExtraLat, want.ExtraLat},
-		{"netLoad", got.NetLoad, want.NetLoad},
+		{"dIn", got.DIn, want.DIn},
 	}
 	for _, f := range floats {
 		for i := range f.w {
 			if math.Float64bits(f.g[i]) != math.Float64bits(f.w[i]) {
 				t.Fatalf("%s: %s[%d] = %v, want %v", step, f.name, i, f.g[i], f.w[i])
 			}
-		}
-	}
-	for i := range want.NetDirty {
-		if got.NetDirty[i] != want.NetDirty[i] {
-			t.Fatalf("%s: netDirty[%d] = %v, want %v", step, i, got.NetDirty[i], want.NetDirty[i])
 		}
 	}
 	if math.Float64bits(got.ClkIn) != math.Float64bits(want.ClkIn) || got.ClkInOK != want.ClkInOK {
@@ -107,8 +102,8 @@ func requireAnalysisEqual(t *testing.T, step string, got, want timing.Analysis) 
 
 // TestRollbackRestoresBitForBit: after random trials, some committed and
 // some rolled back, every Rollback leaves every arrival and required time,
-// every latency and every cached net load exactly as at its Checkpoint, on
-// the serial and the worker-pool propagation paths.
+// every latency and every arc delay exactly as at its Checkpoint, on the
+// serial and the worker-pool propagation paths.
 func TestRollbackRestoresBitForBit(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -121,8 +116,9 @@ func TestRollbackRestoresBitForBit(t *testing.T) {
 				kind, revert := tr.mutate(t)
 				// Every fifth trial is abandoned before its Update, leaving
 				// its change queued for Rollback to drop; of the others, every
-				// third is committed. Trial 0 rolls back the first Update,
-				// which at 4 workers refreshes every stale net load.
+				// third is committed. Trial 0 rolls back the state's first
+				// Update, which copies the shared delay snapshot if it
+				// changes a delay.
 				abandoned := i%5 == 4
 				if !abandoned {
 					tm.Update()
