@@ -16,13 +16,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The concurrency-bearing packages (worker-pool extraction, parallel
-# incremental propagation, goroutine-per-corner CornerSet updates, the shared
-# metrics recorder, the compile-once/schedule-many session engine, the
-# context-threading flow, and the zero-copy graph codec whose decoded slabs
-# are shared across sessions) must stay race-clean. The second line runs the
-# root-package corner-set equivalence/MCMM tests, which drive the concurrent
-# per-corner propagation through the schedulers end to end.
+# The concurrency-bearing packages (worker-pool batch extraction,
+# goroutine-per-corner CornerSet updates, the shared metrics recorder, the
+# compile-once/schedule-many session engine, the context-threading flow, and
+# the zero-copy graph codec whose decoded slabs are shared across sessions)
+# must stay race-clean. The second line runs the root-package corner-set
+# equivalence/MCMM tests, which drive the concurrent per-corner propagation
+# through the schedulers end to end.
 race:
 	$(GO) test -race ./internal/timing ./internal/core ./internal/obs ./internal/engine ./internal/flow ./internal/graphio ./internal/serve
 	$(GO) test -race -run 'Corner' .
@@ -124,14 +124,13 @@ engine-smoke:
 # then SIGTERM it and require a clean drain. The harness exits non-zero if
 # any HTTP answer diverges bitwise from an in-process run or a 429 arrives
 # without Retry-After; the greps additionally require that backpressure
-# actually fired (-maxinflight 1 under 4 clients must 429; -workers 2 gives
-# the single-CPU scheduler the yield points that make the overlap real).
+# actually fired (-maxinflight 1 under 4 clients must 429).
 SERVE_TMP ?= /tmp/iterskew-serve-smoke
 serve-smoke:
 	rm -rf $(SERVE_TMP) && mkdir -p $(SERVE_TMP)
 	$(GO) build -o $(SERVE_TMP)/iterskewd ./cmd/iterskewd
 	$(GO) build -o $(SERVE_TMP)/cssbench ./cmd/cssbench
-	$(SERVE_TMP)/iterskewd -addr 127.0.0.1:0 -maxinflight 1 -workers 2 \
+	$(SERVE_TMP)/iterskewd -addr 127.0.0.1:0 -maxinflight 1 \
 	    -addrfile $(SERVE_TMP)/addr > $(SERVE_TMP)/daemon.log 2>&1 & \
 	pid=$$!; \
 	for i in $$(seq 1 100); do test -s $(SERVE_TMP)/addr && break; \
@@ -164,7 +163,7 @@ mcmm-smoke:
 	rm -rf $(MCMM_TMP) && mkdir -p $(MCMM_TMP)
 	$(GO) build -o $(MCMM_TMP)/iterskewd ./cmd/iterskewd
 	$(GO) build -o $(MCMM_TMP)/cssbench ./cmd/cssbench
-	$(MCMM_TMP)/iterskewd -addr 127.0.0.1:0 -maxinflight 4 -workers 2 \
+	$(MCMM_TMP)/iterskewd -addr 127.0.0.1:0 -maxinflight 4 \
 	    -addrfile $(MCMM_TMP)/addr > $(MCMM_TMP)/daemon.log 2>&1 & \
 	pid=$$!; \
 	for i in $$(seq 1 100); do test -s $(MCMM_TMP)/addr && break; \
@@ -196,7 +195,7 @@ metrics-smoke:
 	rm -rf $(METRICS_TMP) && mkdir -p $(METRICS_TMP)
 	$(GO) build -o $(METRICS_TMP)/iterskewd ./cmd/iterskewd
 	$(GO) build -o $(METRICS_TMP)/cssbench ./cmd/cssbench
-	$(METRICS_TMP)/iterskewd -addr 127.0.0.1:0 -maxinflight 2 -workers 2 \
+	$(METRICS_TMP)/iterskewd -addr 127.0.0.1:0 -maxinflight 2 \
 	    -addrfile $(METRICS_TMP)/addr -accesslog $(METRICS_TMP)/access.jsonl \
 	    > $(METRICS_TMP)/daemon.log 2>&1 & \
 	pid=$$!; \

@@ -60,7 +60,7 @@ func main() {
 	sweep := flag.Bool("sweep", false, "run the O(k·m') complexity sweep (experiment E4) instead of Table I")
 	sessions := flag.Int("sessions", 0, "run the concurrent-session engine benchmark with this many sessions instead of Table I")
 	csvPath := flag.String("csv", "", "also write the per-design rows to this CSV file")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool width for batch extraction and incremental propagation")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool width for batch extraction")
 	jsonPath := flag.String("json", "", "write the Table-I rows plus extraction/propagation micro-timings to this JSON file")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file (load in chrome://tracing or Perfetto)")
@@ -150,7 +150,7 @@ func main() {
 	}
 
 	if *cornersN > 0 {
-		if err := runMCMM(*designs, *scale, *cornersN, *workers, *serveAddr, *jsonPath); err != nil {
+		if err := runMCMM(*designs, *scale, *cornersN, *serveAddr, *jsonPath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -163,7 +163,7 @@ func main() {
 	}
 
 	if *sessions > 0 {
-		if err := runSessions(*designs, *scale, *sessions, *workers, *jsonPath); err != nil {
+		if err := runSessions(*designs, *scale, *sessions, *jsonPath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -428,7 +428,7 @@ type sessionsJSON struct {
 }
 
 // runSessions is the -sessions mode: see the package comment.
-func runSessions(designs string, scale float64, n, workers int, jsonPath string) error {
+func runSessions(designs string, scale float64, n int, jsonPath string) error {
 	name := iterskew.SuperblueNames()[0]
 	if designs != "all" {
 		name = strings.TrimSpace(strings.Split(designs, ",")[0])
@@ -506,7 +506,7 @@ func runSessions(designs string, scale float64, n, workers int, jsonPath string)
 	}
 	sj.SerialSec = time.Since(start).Seconds()
 
-	e := engine.NewFromGraph(g, engine.Config{MaxInFlight: n, Workers: workers})
+	e := engine.NewFromGraph(g, engine.Config{MaxInFlight: n})
 	start = time.Now()
 	results := e.RunAll(jobs)
 	sj.ConcurrentSec = time.Since(start).Seconds()
@@ -527,7 +527,7 @@ func runSessions(designs string, scale float64, n, workers int, jsonPath string)
 		n, sj.SerialSec, sj.ConcurrentSec, sj.JobsPerSec, sj.StatesCreated)
 
 	if jsonPath != "" {
-		out := benchJSON{Scale: scale, Workers: workers, CPUs: runtime.GOMAXPROCS(0), Sessions: sj}
+		out := benchJSON{Scale: scale, CPUs: runtime.GOMAXPROCS(0), Sessions: sj}
 		f, err := os.Create(jsonPath)
 		if err != nil {
 			return err
@@ -859,10 +859,10 @@ func measure(name string, workersUsed, iters int, metricName string, fn func() f
 }
 
 // writeJSON records the Table-I rows plus extraction/propagation
-// micro-timings on the first design, at one worker and at the requested
-// width, so the hot paths are tracked alongside the QoR table — and the
-// per-design cold-start (compile vs artifact decode) and ECO-recompile
-// measurements.
+// micro-timings on the first design (extraction at one worker and at the
+// requested width, the serial Update at one), so the hot paths are tracked
+// alongside the QoR table — and the per-design cold-start (compile vs
+// artifact decode) and ECO-recompile measurements.
 func writeJSON(path string, scale float64, workers int, names []string, rows []rowJSON, rec *iterskew.Recorder) {
 	p, err := iterskew.SuperblueProfile(strings.TrimSpace(names[0]), scale)
 	if err != nil {
@@ -907,19 +907,14 @@ func writeJSON(path string, scale float64, workers int, names []string, rows []r
 			return float64(len(edgeBuf))
 		}))
 	}
-	for _, w := range widths {
-		w := w
-		tm.SetWorkers(w)
-		i := 0
-		out.Micro = append(out.Micro, measure("incremental_update", w, iters, "pins", func() float64 {
-			for j := i % 5; j < len(d.FFs); j += 5 {
-				tm.SetExtraLatency(d.FFs[j], float64((i+j)%23))
-			}
-			i++
-			return float64(tm.Update())
-		}))
-	}
-	tm.SetWorkers(1)
+	i := 0
+	out.Micro = append(out.Micro, measure("incremental_update", 1, iters, "pins", func() float64 {
+		for j := i % 5; j < len(d.FFs); j += 5 {
+			tm.SetExtraLatency(d.FFs[j], float64((i+j)%23))
+		}
+		i++
+		return float64(tm.Update())
+	}))
 	out.Micro = append(out.Micro, measure("full_propagation_csr", 1, iters, "pins", func() float64 {
 		tm.FullUpdate()
 		return float64(len(d.Pins))

@@ -104,7 +104,7 @@ func mcmmCorners(period float64, n int) []timing.Corner {
 // per corner, and merge an "mcmm" block into the -json output. A failed
 // oracle check or a spread that never diverged exits non-zero — the
 // mcmm-smoke CI target relies on that.
-func runMCMM(designs string, scale float64, n, workers int, serveAddr, jsonPath string) error {
+func runMCMM(designs string, scale float64, n int, serveAddr, jsonPath string) error {
 	if n < 2 {
 		return fmt.Errorf("-corners needs at least 2 corners (got %d)", n)
 	}
@@ -132,7 +132,7 @@ func runMCMM(designs string, scale float64, n, workers int, serveAddr, jsonPath 
 		mj.Service = true
 		target, err = mcmmServiceRun(serveAddr, d, corners, mj)
 	} else {
-		target, err = mcmmLocalRun(d, corners, workers, mj)
+		target, err = mcmmLocalRun(d, corners, mj)
 	}
 	if err != nil {
 		return err
@@ -190,14 +190,13 @@ func runMCMM(designs string, scale float64, n, workers int, serveAddr, jsonPath 
 
 // mcmmLocalRun schedules in process: a single-corner baseline on a pooled
 // state, then the full N-corner CornerSet over the same compiled graph.
-func mcmmLocalRun(d *iterskew.Design, corners []timing.Corner, workers int, mj *mcmmJSON) (map[iterskew.CellID]float64, error) {
+func mcmmLocalRun(d *iterskew.Design, corners []timing.Corner, mj *mcmmJSON) (map[iterskew.CellID]float64, error) {
 	g, err := timing.Compile(d, delay.Default())
 	if err != nil {
 		return nil, err
 	}
 
 	single := g.NewState()
-	single.SetWorkers(workers)
 	start := time.Now()
 	if _, err := core.Schedule(single, sched.Options{Mode: timing.Early}); err != nil {
 		return nil, err
@@ -208,7 +207,6 @@ func mcmmLocalRun(d *iterskew.Design, corners []timing.Corner, workers int, mj *
 	if err != nil {
 		return nil, err
 	}
-	cs.SetWorkers(workers)
 	start = time.Now()
 	res, err := core.Schedule(cs, sched.Options{Mode: timing.Early})
 	if err != nil {

@@ -51,7 +51,6 @@ func run() error {
 		addr         = flag.String("addr", ":8077", "listen address (use 127.0.0.1:0 for an ephemeral port)")
 		debugAddr    = flag.String("debugaddr", "", "obs debug sidecar address (pprof + expvar); empty disables")
 		maxInFlight  = flag.Int("maxinflight", 0, "max simultaneous admitted requests; excess gets 429 (0 = GOMAXPROCS)")
-		workers      = flag.Int("workers", 0, "per-session worker-pool width (0 = serial)")
 		cacheBytes   = flag.Int64("cachebytes", 0, "compiled-graph cache byte budget (0 = unbounded)")
 		maxJobRounds = flag.Int("maxjobrounds", 0, "server-wide clamp on a job's max_rounds (0 = scheduler defaults)")
 		addrFile     = flag.String("addrfile", "", "write the resolved listen address to this file once serving")
@@ -89,7 +88,6 @@ func run() error {
 	}
 	srv := serve.New(serve.Config{
 		MaxInFlight:  *maxInFlight,
-		Workers:      *workers,
 		CacheBytes:   *cacheBytes,
 		MaxJobRounds: *maxJobRounds,
 		Recorder:     rec,

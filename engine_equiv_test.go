@@ -39,16 +39,16 @@ func TestEngineSessionsMatchFlowRun(t *testing.T) {
 		sessions := []struct {
 			name string
 			cfg  flow.Config
-			run  func(tm *timing.Timer) (int, error)
+			run  func(tm *timing.State) (int, error)
 		}{
-			{"fpm", flow.Config{Method: flow.FPM}, func(tm *timing.Timer) (int, error) {
+			{"fpm", flow.Config{Method: flow.FPM}, func(tm *timing.State) (int, error) {
 				res, err := fpm.Schedule(tm, fpm.Options{})
 				if err != nil {
 					return 0, err
 				}
 				return res.Rounds, nil
 			}},
-			{"ours-skipopt", flow.Config{Method: flow.Ours, SkipOpt: true}, func(tm *timing.Timer) (int, error) {
+			{"ours-skipopt", flow.Config{Method: flow.Ours, SkipOpt: true}, func(tm *timing.State) (int, error) {
 				early, err := core.Schedule(tm, core.Options{Mode: timing.Early})
 				if err != nil {
 					return 0, err
@@ -59,7 +59,7 @@ func TestEngineSessionsMatchFlowRun(t *testing.T) {
 				}
 				return early.Rounds + late.Rounds, nil
 			}},
-			{"iccss-skipopt", flow.Config{Method: flow.ICCSSPlus, SkipOpt: true}, func(tm *timing.Timer) (int, error) {
+			{"iccss-skipopt", flow.Config{Method: flow.ICCSSPlus, SkipOpt: true}, func(tm *timing.State) (int, error) {
 				early, err := iccss.Schedule(tm, iccss.Options{Mode: timing.Early})
 				if err != nil {
 					return 0, err
@@ -76,9 +76,9 @@ func TestEngineSessionsMatchFlowRun(t *testing.T) {
 		var wg sync.WaitGroup
 		for i, s := range sessions {
 			wg.Add(1)
-			go func(i int, run func(tm *timing.Timer) (int, error)) {
+			go func(i int, run func(tm *timing.State) (int, error)) {
 				defer wg.Done()
-				got[i].err = eng.Session(func(tm *timing.Timer) error {
+				got[i].err = eng.Session(func(tm *timing.State) error {
 					edges0 := tm.Stats.ExtractedEdges
 					rounds, err := run(tm)
 					if err != nil {

@@ -15,7 +15,7 @@ import (
 // genTimer builds a scaled superblue18 timer — the only fixture in this
 // package whose late schedule needs many rounds (the buildChain pipelines
 // converge in two), so cancellation can land mid-run.
-func genTimer(t testing.TB) (*netlist.Design, *timing.Timer) {
+func genTimer(t testing.TB) (*netlist.Design, *timing.State) {
 	t.Helper()
 	p, err := bench.Superblue("superblue18", 0.005)
 	if err != nil {
@@ -124,29 +124,6 @@ func TestStopReasonRoundCapAndStalled(t *testing.T) {
 	stalled := mustSchedule(t, tm2, Options{Mode: timing.Late, StallRounds: 1, MaxRounds: 40})
 	if stalled.StopReason != sched.StopStalled {
 		t.Errorf("plateau under StallRounds=1 reported %v, want stalled", stalled.StopReason)
-	}
-}
-
-// TestWorkersOptionRestored: Options.Workers installs the width on the timer
-// for the run and restores the prior width afterwards.
-func TestWorkersOptionRestored(t *testing.T) {
-	c := buildChain(t, 300, []int{20, 2})
-	tm := newTimer(t, c.d)
-	tm.SetWorkers(1)
-
-	seen := 0
-	res := mustSchedule(t, tm, Options{
-		Mode: timing.Late, Workers: 3,
-		Progress: func(IterStats) { seen = tm.Workers() },
-	})
-	if seen != 3 {
-		t.Errorf("timer width during the run = %d, want Options.Workers = 3", seen)
-	}
-	if tm.Workers() != 1 {
-		t.Errorf("timer width after the run = %d, want the prior width 1", tm.Workers())
-	}
-	if len(res.Target) == 0 {
-		t.Error("run produced no schedule")
 	}
 }
 

@@ -94,14 +94,6 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 		tm.SetCheck(cc.Stop)
 		defer tm.SetCheck(prevCheck)
 	}
-	// Options.Workers covers incremental propagation as well as batch
-	// extraction; the prior width is restored on return so per-run widths
-	// cannot leak to later users of the timer.
-	if opts.Workers != 0 {
-		prevWorkers := tm.Workers()
-		tm.SetWorkers(opts.Workers)
-		defer tm.SetWorkers(prevWorkers)
-	}
 	logf := func(format string, args ...any) {
 		if opts.Log != nil {
 			fmt.Fprintf(opts.Log, format+"\n", args...)

@@ -12,7 +12,7 @@ import (
 // (ascending) sequence of all sequential-edge slacks of the design, clamped
 // at zero, over both analysis modes. The full edge universe is recovered by
 // per-source extraction from every launch vertex.
-func slackSequence(tm *timing.Timer) []float64 {
+func slackSequence(tm *timing.State) []float64 {
 	d := tm.D
 	var launches []netlist.CellID
 	launches = append(launches, d.FFs...)

@@ -8,7 +8,7 @@ import (
 
 // mustSchedule runs Schedule and fails the test on a degenerate-input error
 // (none of the generated test designs are degenerate).
-func mustSchedule(tb testing.TB, tm *timing.Timer, opts Options) *Result {
+func mustSchedule(tb testing.TB, tm *timing.State, opts Options) *Result {
 	tb.Helper()
 	res, err := Schedule(tm, opts)
 	if err != nil {

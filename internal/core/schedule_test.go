@@ -110,7 +110,7 @@ func buildRing(t testing.TB, period float64, k1, k2 int) (*netlist.Design, netli
 	return d, ffA, ffB
 }
 
-func newTimer(t testing.TB, d *netlist.Design) *timing.Timer {
+func newTimer(t testing.TB, d *netlist.Design) *timing.State {
 	t.Helper()
 	tm, err := timing.New(d, delay.Default())
 	if err != nil {

@@ -51,7 +51,7 @@ type Result struct {
 // scheduled targets (flip-flops without a target keep their current latency
 // as the goal). Predictive latencies are cleared; the timer is left fully
 // updated.
-func GuideTree(tm *timing.Timer, targets map[netlist.CellID]float64, o Options) *Result {
+func GuideTree(tm *timing.State, targets map[netlist.CellID]float64, o Options) *Result {
 	start := time.Now()
 	d := tm.D
 	res := &Result{}

@@ -13,7 +13,7 @@ import (
 	"iterskew/internal/timing"
 )
 
-func genTimer(t testing.TB, scale float64) (*timing.Timer, *bench.Profile) {
+func genTimer(t testing.TB, scale float64) (*timing.State, *bench.Profile) {
 	t.Helper()
 	p, err := bench.Superblue("superblue18", scale)
 	if err != nil {

@@ -152,7 +152,7 @@ func TestEngineRecompile(t *testing.T) {
 	schedule := func(e *engine.Engine) map[netlist.CellID]float64 {
 		t.Helper()
 		var target map[netlist.CellID]float64
-		err := e.Session(func(tm *timing.Timer) error {
+		err := e.Session(func(tm *timing.State) error {
 			res, err := core.Schedule(tm, core.Options{StallRounds: -1})
 			if err != nil {
 				return err

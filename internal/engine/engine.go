@@ -46,17 +46,12 @@ type Config struct {
 	// excess Session/Run calls block until a slot frees. 0 means
 	// GOMAXPROCS.
 	MaxInFlight int
-	// Workers is the per-state worker-pool width (timing.SetWorkers) applied
-	// to every state the engine creates. 0 leaves states serial; negative
-	// means GOMAXPROCS. Results are identical at any width.
-	Workers int
 }
 
 // Engine owns one compiled timing graph and a pool of reusable states.
 type Engine struct {
-	g       *timing.Graph
-	workers int
-	slots   chan struct{}
+	g     *timing.Graph
+	slots chan struct{}
 
 	mu        sync.Mutex
 	free      []*timing.State
@@ -82,9 +77,8 @@ func NewFromGraph(g *timing.Graph, cfg Config) *Engine {
 		n = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		g:       g,
-		workers: cfg.Workers,
-		slots:   make(chan struct{}, n),
+		g:     g,
+		slots: make(chan struct{}, n),
 	}
 }
 
@@ -120,11 +114,7 @@ func (e *Engine) acquire() *timing.State {
 	}
 	e.created++
 	e.mu.Unlock()
-	s := e.g.NewState()
-	if e.workers != 0 {
-		s.SetWorkers(e.workers)
-	}
-	return s
+	return e.g.NewState()
 }
 
 // release restores the state to its pristine snapshot and returns it to the
@@ -133,15 +123,6 @@ func (e *Engine) release(s *timing.State) {
 	s.SetRecorder(nil)
 	s.SetCheck(nil)
 	s.SetReq("")
-	// Reassert the engine-configured width: a per-job Options.Workers (or a
-	// scheduler that never reached its width restore) must not leak across
-	// pooled sessions. Config.Workers == 0 means serial states (width 1),
-	// matching what acquire hands out.
-	if w := e.workers; w != 0 {
-		s.SetWorkers(w)
-	} else {
-		s.SetWorkers(1)
-	}
 	s.Reset()
 	e.mu.Lock()
 	e.free = append(e.free, s)
@@ -152,7 +133,7 @@ func (e *Engine) release(s *timing.State) {
 // are already running. The state is valid only for the duration of fn; it
 // is reset and recycled afterwards, so fn must not retain it. A panic in fn
 // is recovered into a *PanicError and the state is discarded, not recycled.
-func (e *Engine) Session(fn func(tm *timing.Timer) error) error {
+func (e *Engine) Session(fn func(tm *timing.State) error) error {
 	return e.SessionContext(context.Background(), fn)
 }
 
@@ -160,7 +141,7 @@ func (e *Engine) Session(fn func(tm *timing.Timer) error) error {
 // done before a slot frees up, it returns ctx's error without ever taking a
 // state. ctx does NOT cancel fn itself — pass it through sched.Options
 // (or Job.Options.Context) for cooperative in-run cancellation.
-func (e *Engine) SessionContext(ctx context.Context, fn func(tm *timing.Timer) error) error {
+func (e *Engine) SessionContext(ctx context.Context, fn func(tm *timing.State) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -192,7 +173,7 @@ func (e *Engine) SessionContext(ctx context.Context, fn func(tm *timing.Timer) e
 
 // runGuarded invokes fn with panic isolation, reporting whether the state it
 // ran on is now suspect.
-func runGuarded(s *timing.State, fn func(tm *timing.Timer) error) (err error, panicked bool) {
+func runGuarded(s *timing.State, fn func(tm *timing.State) error) (err error, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
@@ -302,7 +283,7 @@ func (e *Engine) Run(job Job) (*sched.Result, error) {
 		return e.runCorners(ctx, job)
 	}
 	var res *sched.Result
-	err := e.SessionContext(ctx, func(tm *timing.Timer) error {
+	err := e.SessionContext(ctx, func(tm *timing.State) error {
 		if job.Period != 0 {
 			tm.SetPeriod(job.Period)
 		}

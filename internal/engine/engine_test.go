@@ -191,7 +191,7 @@ func TestEngineBoundsInFlight(t *testing.T) {
 	done := make(chan error, len(jobs))
 	for range jobs {
 		go func() {
-			done <- e.Session(func(tm *timing.Timer) error {
+			done <- e.Session(func(tm *timing.State) error {
 				cur := atomic.AddInt64(&inFlight, 1)
 				for {
 					m := atomic.LoadInt64(&maxSeen)

@@ -20,7 +20,7 @@ type Metrics struct {
 }
 
 // TimingSource is the slice of the timing surface Measure reads — both
-// *timing.Timer and any sched.TimingView (e.g. a multi-corner
+// *timing.State and any sched.TimingView (e.g. a multi-corner
 // timing.CornerSet, whose WNS/TNS are then the worst-case envelope)
 // satisfy it.
 type TimingSource interface {

@@ -80,9 +80,9 @@ type Config struct {
 	// optimization" future work) after the late stage.
 	EnableSizing bool
 	Resize       opt.ResizeOptions
-	// Workers sets the timer's worker-pool width for incremental propagation
-	// and batch extraction. 0 leaves the timer serial; negative means
-	// GOMAXPROCS. Results are identical at any width.
+	// Workers sets the schedulers' batch-extraction width (sched.Options).
+	// 0 means serial; negative means GOMAXPROCS. Results are identical at
+	// any width.
 	Workers int
 	// SkipOpt skips the §IV physical realization after each CSS stage (and
 	// the optional sizing pass): a timing-only run that leaves the computed
@@ -271,9 +271,6 @@ func RunGraph(g *timing.Graph, cfg Config) (*Report, error) {
 func runGraph(g *timing.Graph, cfg Config) (*Report, error) {
 	d := g.Design()
 	tm := g.NewState()
-	if cfg.Workers != 0 {
-		tm.SetWorkers(cfg.Workers)
-	}
 	rec := cfg.Recorder
 	if rec != nil {
 		tm.SetRecorder(rec)
@@ -347,7 +344,7 @@ func runGraph(g *timing.Graph, cfg Config) (*Report, error) {
 
 // runStage performs one CSS stage plus its physical realization, timing the
 // two parts separately and recording the trajectory.
-func runStage(tm *timing.Timer, rep *Report, cfg Config, mode timing.Mode, phase string) error {
+func runStage(tm *timing.State, rep *Report, cfg Config, mode timing.Mode, phase string) error {
 	t0 := time.Now()
 	done := cfg.Recorder.PhaseSpan(phase + "-css")
 	var targets map[netlist.CellID]float64
@@ -387,7 +384,7 @@ func runStage(tm *timing.Timer, rep *Report, cfg Config, mode timing.Mode, phase
 
 // applyOpt realizes targets physically (§IV) and records the post-OPT
 // trajectory point.
-func (rep *Report) applyOpt(tm *timing.Timer, targets map[netlist.CellID]float64, cfg Config, phase string) {
+func (rep *Report) applyOpt(tm *timing.State, targets map[netlist.CellID]float64, cfg Config, phase string) {
 	t0 := time.Now()
 	done := cfg.Recorder.PhaseSpan(phase + "-opt")
 	opt.Optimize(tm, targets, opt.Options{Reconnect: cfg.Reconnect, Move: cfg.Move})

@@ -47,7 +47,7 @@ func buildSkewed(t testing.TB, n int, farDist float64) (*netlist.Design, []netli
 	return d, launches
 }
 
-func newTimer(t testing.TB, d *netlist.Design) *timing.Timer {
+func newTimer(t testing.TB, d *netlist.Design) *timing.State {
 	t.Helper()
 	tm, err := timing.New(d, delay.Default())
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 
 // mustCoreSchedule runs the core scheduler the FPM comparison diffs against,
 // failing the test on a degenerate-input error.
-func mustCoreSchedule(tb testing.TB, tm *timing.Timer, opts core.Options) *core.Result {
+func mustCoreSchedule(tb testing.TB, tm *timing.State, opts core.Options) *core.Result {
 	tb.Helper()
 	res, err := core.Schedule(tm, opts)
 	if err != nil {
@@ -20,7 +20,7 @@ func mustCoreSchedule(tb testing.TB, tm *timing.Timer, opts core.Options) *core.
 
 // mustSchedule runs the FPM scheduler, failing the test on a
 // degenerate-input error.
-func mustSchedule(tb testing.TB, tm *timing.Timer, opts Options) *Result {
+func mustSchedule(tb testing.TB, tm *timing.State, opts Options) *Result {
 	tb.Helper()
 	res, err := Schedule(tm, opts)
 	if err != nil {

@@ -65,18 +65,13 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 	}
 	req := obs.RequestID(opts.Context)
 	runSp := rec.StartSpan(obs.SpanSchedule).WithReq(req)
-	// Cooperative cancellation and Workers, with the same save/restore
-	// discipline as core.Schedule: hooks and widths never leak past the run.
+	// Cooperative cancellation, with the same save/restore discipline as
+	// core.Schedule: the stop hook never leaks past the run.
 	cc := opts.Canceller()
 	if cc.Active() {
 		prevCheck := tm.Check()
 		tm.SetCheck(cc.Stop)
 		defer tm.SetCheck(prevCheck)
-	}
-	if opts.Workers != 0 {
-		prevWorkers := tm.Workers()
-		tm.SetWorkers(opts.Workers)
-		defer tm.SetWorkers(prevWorkers)
 	}
 	logf := func(format string, args ...any) {
 		if opts.Log != nil {

@@ -60,7 +60,7 @@ func buildChain(t testing.TB, period float64, stages []int) (*netlist.Design, []
 	return d, ffs
 }
 
-func newTimer(t testing.TB, d *netlist.Design) *timing.Timer {
+func newTimer(t testing.TB, d *netlist.Design) *timing.State {
 	t.Helper()
 	tm, err := timing.New(d, delay.Default())
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 )
 
 // mustSchedule runs Schedule and fails the test on a degenerate-input error.
-func mustSchedule(tb testing.TB, tm *timing.Timer, opts Options) *Result {
+func mustSchedule(tb testing.TB, tm *timing.State, opts Options) *Result {
 	tb.Helper()
 	res, err := Schedule(tm, opts)
 	if err != nil {
@@ -19,7 +19,7 @@ func mustSchedule(tb testing.TB, tm *timing.Timer, opts Options) *Result {
 
 // mustCore runs the reference core scheduler the comparison tests diff
 // against, failing the test on error.
-func mustCore(tb testing.TB, tm *timing.Timer, opts core.Options) *core.Result {
+func mustCore(tb testing.TB, tm *timing.State, opts core.Options) *core.Result {
 	tb.Helper()
 	res, err := core.Schedule(tm, opts)
 	if err != nil {

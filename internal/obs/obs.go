@@ -17,7 +17,7 @@
 //   - events (EnableEvents): structured JSONL records (one Event per line)
 //     for per-round IterStats-style trajectories consumed by cmd/iterplot.
 //
-// The hot-path surfaces (timing.Timer.Update, batch extraction) use the
+// The hot-path surfaces (timing.State.Update, batch extraction) use the
 // enum-keyed Span/Add calls; coarse orchestration layers (internal/flow) use
 // NamedSpan and PhaseSpan, which may allocate — they run a handful of times
 // per scheduling run.
@@ -38,7 +38,7 @@ type Counter int
 // The counter set, roughly one group per instrumented subsystem.
 const (
 	// Timer incremental propagation.
-	CtrTimerUpdates     Counter = iota // Timer.Update calls
+	CtrTimerUpdates     Counter = iota // State.Update calls
 	CtrTimerPins                       // pins re-propagated: arrivals by Update, required times at the first launch-slack read
 	CtrTimerDirtyFFs                   // dirty flip-flops drained by Update
 	CtrTimerDirtyCells                 // dirty cells drained by Update
@@ -109,8 +109,7 @@ type Gauge int
 
 // The gauge set.
 const (
-	GaugeWorkers       Gauge = iota // configured worker-pool width
-	GaugeGraphVerts                 // partial sequential graph vertex count
+	GaugeGraphVerts    Gauge = iota // partial sequential graph vertex count
 	GaugeGraphEdges                 // partial sequential graph edge count
 	GaugeCacheBytes                 // resident compiled-graph cache footprint
 	GaugeCacheGraphs                // resident compiled-graph count
@@ -120,7 +119,6 @@ const (
 )
 
 var gaugeNames = [numGauges]string{
-	GaugeWorkers:       "workers",
 	GaugeGraphVerts:    "graph_verts",
 	GaugeGraphEdges:    "graph_edges",
 	GaugeCacheBytes:    "cache_bytes",

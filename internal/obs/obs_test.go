@@ -16,8 +16,8 @@ func TestNilRecorderNoOps(t *testing.T) {
 	if got := r.Counter(CtrRounds); got != 0 {
 		t.Fatalf("nil Counter = %d, want 0", got)
 	}
-	r.SetGauge(GaugeWorkers, 4)
-	if got := r.Gauge(GaugeWorkers); got != 0 {
+	r.SetGauge(GaugeGraphVerts, 4)
+	if got := r.Gauge(GaugeGraphVerts); got != 0 {
 		t.Fatalf("nil Gauge = %d, want 0", got)
 	}
 	if h := r.Hist(SpanTimerUpdate); h.Count != 0 {
@@ -85,10 +85,10 @@ func TestCountersGauges(t *testing.T) {
 	if got := r.Counter(CtrExtractEdges); got != 10 {
 		t.Fatalf("CtrExtractEdges = %d, want 10", got)
 	}
-	r.SetGauge(GaugeWorkers, 8)
-	r.SetGauge(GaugeWorkers, 4)
-	if got := r.Gauge(GaugeWorkers); got != 4 {
-		t.Fatalf("GaugeWorkers = %d, want 4 (last value)", got)
+	r.SetGauge(GaugeGraphVerts, 8)
+	r.SetGauge(GaugeGraphVerts, 4)
+	if got := r.Gauge(GaugeGraphVerts); got != 4 {
+		t.Fatalf("GaugeGraphVerts = %d, want 4 (last value)", got)
 	}
 	for c := Counter(0); c < numCounters; c++ {
 		if c.String() == "" {
@@ -178,14 +178,14 @@ func TestPhaseSpan(t *testing.T) {
 func TestSnapshot(t *testing.T) {
 	r := NewRecorder()
 	r.Add(CtrRounds, 3)
-	r.SetGauge(GaugeWorkers, 2)
+	r.SetGauge(GaugeGraphVerts, 2)
 	r.StartSpan(SpanTimerUpdate).End()
 	s := r.Snapshot()
 	if got := s["counter.rounds"]; got != int64(3) {
 		t.Fatalf("counter.rounds = %v, want 3", got)
 	}
-	if got := s["gauge.workers"]; got != int64(2) {
-		t.Fatalf("gauge.workers = %v, want 2", got)
+	if got := s["gauge.graph_verts"]; got != int64(2) {
+		t.Fatalf("gauge.graph_verts = %v, want 2", got)
 	}
 	if _, ok := s["span.timer.update"]; !ok {
 		t.Fatal("snapshot missing span.timer.update summary")

@@ -116,7 +116,7 @@ func TestBucketHist(t *testing.T) {
 func TestWritePrometheusRoundTrip(t *testing.T) {
 	r := NewRecorder()
 	r.Add(CtrRounds, 7)
-	r.SetGauge(GaugeWorkers, 3)
+	r.SetGauge(GaugeGraphVerts, 3)
 	r.StartSpan(SpanTimerUpdate).End()
 	sp := r.StartSpan(SpanRound)
 	time.Sleep(time.Millisecond)
@@ -140,8 +140,8 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 	if got := samples["iterskew_rounds_total"]; got != 7 {
 		t.Fatalf("rounds_total = %v, want 7", got)
 	}
-	if got := samples["iterskew_workers"]; got != 3 {
-		t.Fatalf("workers gauge = %v, want 3", got)
+	if got := samples["iterskew_graph_verts"]; got != 3 {
+		t.Fatalf("graph_verts gauge = %v, want 3", got)
 	}
 	if got := samples[`iterskew_span_duration_seconds_count{kind="timer.update"}`]; got != 1 {
 		t.Fatalf("span count = %v, want 1", got)

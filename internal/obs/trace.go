@@ -16,7 +16,7 @@ type SpanKind int
 // The span set. Names use dotted lower-case so traces group naturally in
 // Perfetto's search.
 const (
-	SpanTimerUpdate     SpanKind = iota // one incremental Timer.Update
+	SpanTimerUpdate     SpanKind = iota // one incremental State.Update
 	SpanTimerFullUpdate                 // one FullUpdate
 	SpanExtractBatch                    // one batch extraction call
 	SpanExtractWorker                   // one worker's share of a batch

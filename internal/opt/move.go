@@ -41,7 +41,7 @@ type MoveResult struct {
 // violating path's min arrival and late WNS stays at or above min(0, late
 // WNS before the move): a hold fix never buys a new setup violation nor
 // deepens an existing one.
-func MoveCells(tm *timing.Timer, o MoveOptions) *MoveResult {
+func MoveCells(tm *timing.State, o MoveOptions) *MoveResult {
 	start := time.Now()
 	o.defaults()
 	d := tm.D
@@ -95,7 +95,7 @@ func MoveCells(tm *timing.Timer, o MoveOptions) *MoveResult {
 
 // tryMoveCell attempts the growing-step cardinal moves for one cell, each as
 // a timer trial; it returns true if a move was kept.
-func tryMoveCell(tm *timing.Timer, c netlist.CellID, e timing.EndpointID,
+func tryMoveCell(tm *timing.State, c netlist.CellID, e timing.EndpointID,
 	dirs []geom.Point, o MoveOptions, res *MoveResult) bool {
 
 	d := tm.D

@@ -20,7 +20,7 @@ type Result struct {
 // Optimize realizes the scheduled latencies: LCB–FF reconnection first
 // (§IV-A), then cell movement to refine any remaining or pre-existing early
 // violations (§IV-B).
-func Optimize(tm *timing.Timer, targets map[netlist.CellID]float64, o Options) *Result {
+func Optimize(tm *timing.State, targets map[netlist.CellID]float64, o Options) *Result {
 	res := &Result{}
 	res.Reconnect = Reconnect(tm, targets, o.Reconnect)
 	res.Move = MoveCells(tm, o.Move)

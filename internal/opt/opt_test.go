@@ -15,7 +15,7 @@ import (
 	"iterskew/internal/timing"
 )
 
-func newTimer(t testing.TB, d *netlist.Design) *timing.Timer {
+func newTimer(t testing.TB, d *netlist.Design) *timing.State {
 	t.Helper()
 	tm, err := timing.New(d, delay.Default())
 	if err != nil {

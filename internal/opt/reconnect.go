@@ -71,7 +71,7 @@ type ReconnectResult struct {
 // mode's TNS, in which case the clock pin goes back and the timer rolls
 // back. Flip-flops whose clock pin is on no net have no LCB to leave and
 // are skipped.
-func Reconnect(tm *timing.Timer, targets map[netlist.CellID]float64, o ReconnectOptions) *ReconnectResult {
+func Reconnect(tm *timing.State, targets map[netlist.CellID]float64, o ReconnectOptions) *ReconnectResult {
 	start := time.Now()
 	o.defaults()
 	d := tm.D
@@ -215,7 +215,7 @@ func keepBest(best []cand, c cand, k int) []cand {
 // predictReconnect estimates the flip-flop's latency after reconnecting from
 // LCB `from` to LCB `to`, and the summed |Δlatency| induced on the other
 // flip-flops of both LCBs (the CPPR-motivated impact term of §IV-A).
-func predictReconnect(tm *timing.Timer, ff, from, to netlist.CellID) (newLat, impact float64) {
+func predictReconnect(tm *timing.State, ff, from, to netlist.CellID) (newLat, impact float64) {
 	d := tm.D
 	m := tm.M
 	ck := d.FFClock(ff)
@@ -258,7 +258,7 @@ func predictReconnect(tm *timing.Timer, ff, from, to netlist.CellID) (newLat, im
 // lcbOutArrival computes the clock arrival at an LCB's output from the root
 // side, for LCBs that currently drive nothing. It mirrors the timer's
 // CTS-balanced root→LCB model.
-func lcbOutArrival(tm *timing.Timer, lcb netlist.CellID) float64 {
+func lcbOutArrival(tm *timing.State, lcb netlist.CellID) float64 {
 	d := tm.D
 	m := tm.M
 	rootOut := d.OutPin(d.ClockRoot)

@@ -32,7 +32,7 @@ type ResizeResult struct {
 
 // ResizeCells walks the worst late paths and upsizes their gates while that
 // measurably improves the violating endpoint without hurting hold timing.
-func ResizeCells(tm *timing.Timer, o ResizeOptions) *ResizeResult {
+func ResizeCells(tm *timing.State, o ResizeOptions) *ResizeResult {
 	start := time.Now()
 	if o.MaxPasses == 0 {
 		o.MaxPasses = 3
@@ -83,7 +83,7 @@ func ResizeCells(tm *timing.Timer, o ResizeOptions) *ResizeResult {
 // keeps the swap only if the endpoint's late slack improves and early WNS
 // does not drop below its value before the swap; otherwise it swaps back
 // and rolls the timer back.
-func tryUpsize(tm *timing.Timer, c netlist.CellID, e timing.EndpointID,
+func tryUpsize(tm *timing.State, c netlist.CellID, e timing.EndpointID,
 	o ResizeOptions, res *ResizeResult) bool {
 
 	d := tm.D

@@ -71,7 +71,7 @@ func (r *Report) note(format string, args ...any) {
 	}
 }
 
-// Checker validates schedules produced against one timing.Timer using the
+// Checker validates schedules produced against one timing.State using the
 // independent full-graph oracle. Build it BEFORE scheduling: the constructor
 // snapshots the pre-schedule latency baseline and endpoint slacks that the
 // Eq-11 safety floors and the LP baseline are measured from.
@@ -89,7 +89,7 @@ type Checker struct {
 // reports must match the oracle's recomputation. A disagreement here means
 // one of the engines mis-times the netlist and any later check would be
 // meaningless, so it is an error rather than a finding.
-func NewChecker(tm *timing.Timer, opts CheckOptions) (*Checker, error) {
+func NewChecker(tm *timing.State, opts CheckOptions) (*Checker, error) {
 	// Extract under the timer's EFFECTIVE corner — its (possibly what-if)
 	// period and derates, not the design/model defaults — so a retimed or
 	// re-derated state cross-validates instead of trivially disagreeing.
@@ -114,7 +114,7 @@ func NewChecker(tm *timing.Timer, opts CheckOptions) (*Checker, error) {
 
 // snapshotExtras reads the timer's current extra latencies (non-zero entries
 // only, matching the schedulers' Target convention).
-func snapshotExtras(tm *timing.Timer) map[netlist.CellID]float64 {
+func snapshotExtras(tm *timing.State) map[netlist.CellID]float64 {
 	out := make(map[netlist.CellID]float64)
 	for _, ff := range tm.D.FFs {
 		if v := tm.ExtraLatency(ff); v != 0 {
@@ -126,7 +126,7 @@ func snapshotExtras(tm *timing.Timer) map[netlist.CellID]float64 {
 
 // compareEndpoints diffs the timer's reported endpoint slacks (both modes)
 // against the oracle's full-graph recomputation under the given latencies.
-func (c *Checker) compareEndpoints(tm *timing.Timer, extra map[netlist.CellID]float64) []string {
+func (c *Checker) compareEndpoints(tm *timing.State, extra map[netlist.CellID]float64) []string {
 	var msgs []string
 	oLate := c.G.EndpointSlacks(true, extra)
 	oEarly := c.G.EndpointSlacks(false, extra)
@@ -155,7 +155,7 @@ func slackEq(a, b, tol float64) bool {
 // scheduler-reported latency map (nil to skip the timer-vs-result diff);
 // fixes are the Eq-9 cycle assignments the run recorded (nil when the
 // algorithm has none, e.g. FPM).
-func (c *Checker) Check(tm *timing.Timer, target map[netlist.CellID]float64, fixes []core.CycleFix) *Report {
+func (c *Checker) Check(tm *timing.State, target map[netlist.CellID]float64, fixes []core.CycleFix) *Report {
 	tm.Update()
 	r := &Report{OK: true, WNS: math.Inf(1)}
 	g := c.G

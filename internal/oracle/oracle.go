@@ -12,7 +12,7 @@
 // assignment by binary search on the minimum balance with a Bellman–Ford
 // feasibility inner loop (solve.go) — the classical CSS formulation the
 // paper's iterative algorithm approximates. check.go bridges the two worlds:
-// it consumes a schedule produced against a timing.Timer and verifies it
+// it consumes a schedule produced against a timing.State and verifies it
 // against this package's independent recomputation.
 package oracle
 

@@ -13,7 +13,7 @@ import (
 	"iterskew/internal/timing"
 )
 
-func benchTimer(t *testing.T, name string) *timing.Timer {
+func benchTimer(t *testing.T, name string) *timing.State {
 	t.Helper()
 	var d *netlist.Design
 	var err error

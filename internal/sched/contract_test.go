@@ -30,7 +30,7 @@ func contractDesign(t testing.TB, scale float64, seed int64) *netlist.Design {
 	return d
 }
 
-func contractTimer(t testing.TB, d *netlist.Design) *timing.Timer {
+func contractTimer(t testing.TB, d *netlist.Design) *timing.State {
 	t.Helper()
 	tm, err := timing.New(d, delay.Default())
 	if err != nil {

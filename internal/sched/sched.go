@@ -138,12 +138,8 @@ type Options struct {
 	// when the TNS is momentarily flat. 0 means the default of 3; negative
 	// disables the guard.
 	StallRounds int
-	// Workers sets the worker-pool width for batch extraction and incremental
-	// propagation: a nonzero value is installed on the timer
-	// (timing.Timer.SetWorkers) for the duration of the run and the prior
-	// width is restored on return, so the schedulers' Update calls honor it
-	// too. 0 keeps the timer's configured width; negative means GOMAXPROCS.
-	// Results are identical at any width.
+	// Workers sets the worker-pool width of the batch extractors. 0 means
+	// serial; negative means GOMAXPROCS. Results are identical at any width.
 	Workers int
 	// Recorder optionally instruments the run: round spans, extraction and
 	// clamp counters, and per-round JSONL events (see internal/obs). nil
@@ -363,10 +359,10 @@ type Result struct {
 }
 
 // TimingView is the slack/extract/apply-latency surface the schedulers
-// consume. *timing.State (= *timing.Timer) is the trivial single-corner
-// implementation; timing.CornerSet joins several states over one shared
-// graph into a worst-case envelope, which turns every scheduler written
-// against this interface into a multi-corner scheduler for free.
+// consume. *timing.State is the trivial single-corner implementation;
+// timing.CornerSet joins several states over one shared graph into a
+// worst-case envelope, which turns every scheduler written against this
+// interface into a multi-corner scheduler for free.
 //
 // The contract mirrors the State methods exactly (see internal/timing for
 // per-method semantics); the only requirements beyond a single state are
@@ -412,8 +408,6 @@ type TimingView interface {
 	Update() int
 
 	// Run plumbing the schedulers install for the duration of a run.
-	SetWorkers(n int)
-	Workers() int
 	SetCheck(fn func() bool)
 	Check() func() bool
 	Recorder() *obs.Recorder

@@ -57,9 +57,6 @@ type Config struct {
 	// MaxInFlight bounds simultaneous admitted requests (uploads + jobs);
 	// the excess gets 429 + Retry-After. 0 means GOMAXPROCS.
 	MaxInFlight int
-	// Workers is the per-state worker-pool width handed to every session
-	// engine (results are identical at any width).
-	Workers int
 	// CacheBytes is the compiled-graph cache budget (engine.NewCache);
 	// <= 0 means unbounded. Evicting a graph also drops its session engine —
 	// its handle answers 404 until re-uploaded.
@@ -199,7 +196,7 @@ func (s *Server) engineFor(key graphio.Hash, g *timing.Graph) *engine.Engine {
 	if e, ok := s.engines[key]; ok && e.Graph() == g {
 		return e
 	}
-	e := engine.NewFromGraph(g, engine.Config{MaxInFlight: s.maxInFlight, Workers: s.cfg.Workers})
+	e := engine.NewFromGraph(g, engine.Config{MaxInFlight: s.maxInFlight})
 	s.engines[key] = e
 	return e
 }

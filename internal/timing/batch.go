@@ -37,8 +37,8 @@ type extractWorker struct {
 	spans []span
 }
 
-// extractPool is the reusable per-timer scratch for batch extraction. It is
-// not safe for concurrent batch calls on one Timer (the Timer itself is not
+// extractPool is the reusable per-state scratch for batch extraction. It is
+// not safe for concurrent batch calls on one State (the State itself is not
 // concurrency-safe either).
 type extractPool struct {
 	workers []extractWorker
@@ -76,13 +76,10 @@ func (c *Counters) add(o Counters) {
 	c.ExtractArcVisits += o.ExtractArcVisits
 }
 
-// batchWorkers resolves a caller-supplied worker count: 0 ⇒ the timer's
-// configured width, negative ⇒ GOMAXPROCS.
-func (t *Timer) batchWorkers(workers, n int) int {
-	if workers == 0 {
-		workers = t.workers
-	}
-	if workers <= 0 {
+// batchWorkers resolves a caller-supplied worker count, capped at the root
+// count n: negative ⇒ GOMAXPROCS. A result of 0 or 1 runs serially.
+func batchWorkers(workers, n int) int {
+	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
@@ -96,7 +93,7 @@ func (t *Timer) batchWorkers(workers, n int) int {
 // claimed from an atomic cursor so workers stay busy on skewed cone sizes.
 // Edges are merged into dst in root order and worker counters fold into
 // t.Stats, making the result and the stats identical to the serial loop.
-func (t *Timer) runBatch(n, workers int, dst []SeqEdge, trace func(w *extractWorker, i int)) []SeqEdge {
+func (t *State) runBatch(n, workers int, dst []SeqEdge, trace func(w *extractWorker, i int)) []SeqEdge {
 	ws := t.pool.prepare(workers, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -144,12 +141,11 @@ func (t *Timer) runBatch(n, workers int, dst []SeqEdge, trace func(w *extractWor
 }
 
 // ExtractEssentialBatch runs ExtractEssentialAt for every endpoint in order,
-// fanning the traces out to `workers` goroutines (0 ⇒ the timer's configured
-// width, see SetWorkers; negative ⇒ GOMAXPROCS). The appended edges and the
-// updated Stats are identical to calling ExtractEssentialAt serially in
-// endpoint order.
-func (t *Timer) ExtractEssentialBatch(endpoints []EndpointID, m Mode, margin float64, workers int, dst []SeqEdge) []SeqEdge {
-	workers = t.batchWorkers(workers, len(endpoints))
+// fanning the traces out to `workers` goroutines (0 ⇒ serial, negative ⇒
+// GOMAXPROCS). The appended edges and the updated Stats are identical to
+// calling ExtractEssentialAt serially in endpoint order.
+func (t *State) ExtractEssentialBatch(endpoints []EndpointID, m Mode, margin float64, workers int, dst []SeqEdge) []SeqEdge {
+	workers = batchWorkers(workers, len(endpoints))
 	sp, len0 := t.rec.StartSpan(obs.SpanExtractBatch).WithReq(t.req), len(dst)
 	if workers <= 1 || len(endpoints) < 2 {
 		wsp := t.rec.WorkerSpan(obs.SpanExtractWorker, 0).WithReq(t.req)
@@ -169,8 +165,8 @@ func (t *Timer) ExtractEssentialBatch(endpoints []EndpointID, m Mode, margin flo
 
 // ExtractAllFromBatch runs ExtractAllFrom for every launch vertex in order
 // with the same worker-pool semantics as ExtractEssentialBatch.
-func (t *Timer) ExtractAllFromBatch(launches []netlist.CellID, m Mode, workers int, dst []SeqEdge) []SeqEdge {
-	workers = t.batchWorkers(workers, len(launches))
+func (t *State) ExtractAllFromBatch(launches []netlist.CellID, m Mode, workers int, dst []SeqEdge) []SeqEdge {
+	workers = batchWorkers(workers, len(launches))
 	sp, len0 := t.rec.StartSpan(obs.SpanExtractBatch).WithReq(t.req), len(dst)
 	if workers <= 1 || len(launches) < 2 {
 		wsp := t.rec.WorkerSpan(obs.SpanExtractWorker, 0).WithReq(t.req)
@@ -190,8 +186,8 @@ func (t *Timer) ExtractAllFromBatch(launches []netlist.CellID, m Mode, workers i
 
 // ExtractAllIntoBatch runs ExtractAllInto for every capture vertex in order
 // with the same worker-pool semantics as ExtractEssentialBatch.
-func (t *Timer) ExtractAllIntoBatch(captures []netlist.CellID, m Mode, workers int, dst []SeqEdge) []SeqEdge {
-	workers = t.batchWorkers(workers, len(captures))
+func (t *State) ExtractAllIntoBatch(captures []netlist.CellID, m Mode, workers int, dst []SeqEdge) []SeqEdge {
+	workers = batchWorkers(workers, len(captures))
 	sp, len0 := t.rec.StartSpan(obs.SpanExtractBatch).WithReq(t.req), len(dst)
 	if workers <= 1 || len(captures) < 2 {
 		wsp := t.rec.WorkerSpan(obs.SpanExtractWorker, 0).WithReq(t.req)
@@ -210,7 +206,7 @@ func (t *Timer) ExtractAllIntoBatch(captures []netlist.CellID, m Mode, workers i
 }
 
 // finishBatch folds one batch's counters and closes its span.
-func (t *Timer) finishBatch(sp obs.Span, roots, edges int) {
+func (t *State) finishBatch(sp obs.Span, roots, edges int) {
 	if t.rec != nil {
 		t.rec.Add(obs.CtrExtractBatches, 1)
 		t.rec.Add(obs.CtrExtractRoots, int64(roots))

@@ -6,13 +6,13 @@ import (
 
 	"iterskew/internal/bench"
 	"iterskew/internal/delay"
+	"iterskew/internal/obs"
 	"iterskew/internal/timing"
 )
 
 // genTimer builds a timer over a generated design big enough to engage the
-// worker pools (bucket sizes past the parallel threshold, hundreds of
-// violated endpoints).
-func genTimer(t *testing.T) *timing.Timer {
+// batch-extraction pool (hundreds of violated endpoints).
+func genTimer(t *testing.T) *timing.State {
 	t.Helper()
 	p, err := bench.Superblue("superblue18", 0.01)
 	if err != nil {
@@ -57,7 +57,8 @@ func TestBatchExtractionMatchesSerial(t *testing.T) {
 // TestBatchExtractionEdgeCases pins the degenerate batch paths: empty root
 // sets are no-ops that preserve the destination slice, worker counts beyond
 // the root count or at/below zero normalize instead of spawning idle or
-// broken pools, and every width agrees with the single-worker run.
+// broken pools (0 runs serially), and every width agrees with the
+// single-worker run.
 func TestBatchExtractionEdgeCases(t *testing.T) {
 	tm := genTimer(t)
 	d := tm.D
@@ -85,16 +86,24 @@ func TestBatchExtractionEdgeCases(t *testing.T) {
 	t.Run("worker-normalization", func(t *testing.T) {
 		endpoints := tm.ViolatedEndpoints(timing.Late, nil)
 		want := tm.ExtractEssentialBatch(endpoints, timing.Late, 0, 1, nil)
-		// 0 defers to the timer's configured width, negative to GOMAXPROCS;
-		// both must produce the single-worker result exactly.
+		// 0 means serial, negative GOMAXPROCS; both must produce the
+		// single-worker result exactly.
 		for _, w := range []int{0, -1, -7} {
 			if got := tm.ExtractEssentialBatch(endpoints, timing.Late, 0, w, nil); !sameEdges(got, want) {
 				t.Errorf("workers=%d: %d edges vs %d single-worker", w, len(got), len(want))
 			}
 		}
-		tm.SetWorkers(5)
-		if got := tm.ExtractEssentialBatch(endpoints, timing.Late, 0, 0, nil); !sameEdges(got, want) {
-			t.Errorf("workers=0 with timer width 5: %d edges vs %d single-worker", len(got), len(want))
+		// The serial loop records one worker span; a pool records one per
+		// worker.
+		rec := obs.NewRecorder()
+		tm.SetRecorder(rec)
+		defer tm.SetRecorder(nil)
+		for _, c := range []struct{ workers, spans int }{{0, 1}, {2, 2}} {
+			before := rec.Hist(obs.SpanExtractWorker).Count
+			tm.ExtractEssentialBatch(endpoints, timing.Late, 0, c.workers, nil)
+			if got := rec.Hist(obs.SpanExtractWorker).Count - before; got != int64(c.spans) {
+				t.Errorf("workers=%d: %d worker spans, want %d", c.workers, got, c.spans)
+			}
 		}
 	})
 
@@ -123,11 +132,9 @@ func sameEdges(a, b []timing.SeqEdge) bool {
 }
 
 // TestBatchExtractionRace is meaningful under -race: it hammers the batch
-// extractors and the parallel incremental Update with 8 workers while
-// latencies move between rounds.
+// extractors with 8 workers while latencies move between rounds.
 func TestBatchExtractionRace(t *testing.T) {
 	tm := genTimer(t)
-	tm.SetWorkers(8)
 	d := tm.D
 	for round := 0; round < 4; round++ {
 		for i, ff := range d.FFs {
@@ -144,6 +151,6 @@ func TestBatchExtractionRace(t *testing.T) {
 		tm.ExtractAllIntoBatch(d.FFs, timing.Early, 8, nil)
 	}
 	if wns, _ := tm.WNSTNS(timing.Late); math.IsNaN(wns) {
-		t.Error("NaN WNS after parallel rounds")
+		t.Error("NaN WNS after batch-extraction rounds")
 	}
 }

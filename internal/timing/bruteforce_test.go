@@ -82,7 +82,7 @@ func randomDesign(t *testing.T, rng *rand.Rand, nFF int) *netlist.Design {
 
 // bruteArrivals enumerates every path by recursion and returns the exact
 // min/max arrival at a pin under the timer's own arc delays.
-func bruteArrivals(tm *Timer, p netlist.PinID) (float64, float64) {
+func bruteArrivals(tm *State, p netlist.PinID) (float64, float64) {
 	if srcE, srcL, ok := tm.sourceArrival(p); ok {
 		return srcE, srcL
 	}

@@ -15,7 +15,7 @@ func TestSetCheckAbortsAndDrains(t *testing.T) {
 	tm := genTimer(t)
 	d := ref.D
 
-	bump := func(x *timing.Timer) {
+	bump := func(x *timing.State) {
 		for i := 0; i < len(d.FFs); i += 3 {
 			x.AddExtraLatency(d.FFs[i], 50)
 		}

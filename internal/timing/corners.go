@@ -376,16 +376,6 @@ func (cs *CornerSet) FullUpdate() {
 	}
 }
 
-// SetWorkers fans the worker-pool width out to every corner.
-func (cs *CornerSet) SetWorkers(n int) {
-	for _, s := range cs.states {
-		s.SetWorkers(n)
-	}
-}
-
-// Workers returns the configured worker-pool width.
-func (cs *CornerSet) Workers() int { return cs.states[cs.ref].Workers() }
-
 // SetCheck installs the cancellation probe on every corner.
 func (cs *CornerSet) SetCheck(f func() bool) {
 	for _, s := range cs.states {

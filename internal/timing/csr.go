@@ -116,7 +116,7 @@ func (g *Graph) fanoutArcs(p netlist.PinID) []arcRef {
 // forEachFanin invokes f for every data arc entering pin p with the arc's
 // current delay. Hot paths iterate the CSR directly; this closure form
 // remains for tests.
-func (t *Timer) forEachFanin(p netlist.PinID, f func(q netlist.PinID, d float64)) {
+func (t *State) forEachFanin(p netlist.PinID, f func(q netlist.PinID, d float64)) {
 	for _, a := range t.faninArcs(p) {
 		f(a.To, t.dIn[p])
 	}

@@ -68,13 +68,13 @@ func requireDelaysEqual(t *testing.T, step string, got, want []float64) {
 
 // TestDelayArrayMatchesModel: after random moves, resizes, clock-pin
 // reconnections and derate changes — plain Updates and trials, committed or
-// rolled back, on the serial and the worker-pool paths — every data pin's
-// cached arc delay equals a from-scratch derivation through delay.Model.
-// States created before and after the steps still read the compile-time
-// snapshot, so no state's writes reach the shared array.
+// rolled back, under two step sequences — every data pin's cached arc delay
+// equals a from-scratch derivation through delay.Model. States created
+// before and after the steps still read the compile-time snapshot, so no
+// state's writes reach the shared array.
 func TestDelayArrayMatchesModel(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, seed := range []int64{1, 4} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			d, err := fuzz.Generate(fuzz.FromSeed(0))
 			if err != nil {
 				t.Fatal(err)
@@ -86,7 +86,6 @@ func TestDelayArrayMatchesModel(t *testing.T) {
 			snap := slices.Clone(g.Slabs().SnapDIn)
 			bystander := g.NewState()
 			tm := g.NewState()
-			tm.SetWorkers(workers)
 			requireDelaysMatchModel(t, "compile", g, tm)
 
 			lib := netlist.StdLib()
@@ -112,7 +111,7 @@ func TestDelayArrayMatchesModel(t *testing.T) {
 				t.Fatal("design has no combinational cell driving no net")
 			}
 
-			rng := rand.New(rand.NewSource(int64(workers)))
+			rng := rand.New(rand.NewSource(seed))
 			resize := func(c netlist.CellID) func() {
 				old := d.Cells[c].Type
 				next := lib.Upsize(old)

@@ -24,7 +24,7 @@ type SeqEdge struct {
 // current latencies (Eqs 1–2 of the paper). This is the authoritative
 // weight function for the sequential graph; re-evaluating it after a latency
 // change realizes the incremental weight update of Eq (10).
-func (t *Timer) EdgeSlack(e SeqEdge) float64 {
+func (t *State) EdgeSlack(e SeqEdge) float64 {
 	d := t.D
 	var lLaunch, lCapture, setup, hold float64
 	if t.ffIdx[e.Launch] >= 0 {
@@ -117,14 +117,14 @@ func (s *traceState) note(c netlist.CellID, v float64, late bool) {
 // downstream delay and prunes any prefix whose best achievable arrival
 // cannot violate, so its cost is proportional to the violating cone, not the
 // full fanin cone.
-func (t *Timer) ExtractEssentialAt(e EndpointID, m Mode, margin float64, dst []SeqEdge) []SeqEdge {
+func (t *State) ExtractEssentialAt(e EndpointID, m Mode, margin float64, dst []SeqEdge) []SeqEdge {
 	return t.extractEssential(&t.trace, &t.Stats, e, m, margin, dst)
 }
 
 // extractEssential is the reentrant core of ExtractEssentialAt: all mutable
 // state lives in st and cnt, so batch workers run it concurrently against
 // read-only timer state.
-func (t *Timer) extractEssential(st *traceState, cnt *Counters, e EndpointID, m Mode, margin float64, dst []SeqEdge) []SeqEdge {
+func (t *State) extractEssential(st *traceState, cnt *Counters, e EndpointID, m Mode, margin float64, dst []SeqEdge) []SeqEdge {
 	ep := t.endpoints[e]
 	p0 := ep.Pin
 	if !t.inData[p0] {
@@ -213,11 +213,11 @@ func (t *Timer) extractEssential(st *traceState, cnt *Counters, e EndpointID, m 
 // (flip-flop or input port) by a full forward traversal of its fanout cone —
 // the IC-CSS callback of [9]. All reachable endpoints are reported,
 // violating or not.
-func (t *Timer) ExtractAllFrom(launch netlist.CellID, m Mode, dst []SeqEdge) []SeqEdge {
+func (t *State) ExtractAllFrom(launch netlist.CellID, m Mode, dst []SeqEdge) []SeqEdge {
 	return t.extractAllFrom(&t.trace, &t.Stats, launch, m, dst)
 }
 
-func (t *Timer) extractAllFrom(st *traceState, cnt *Counters, launch netlist.CellID, m Mode, dst []SeqEdge) []SeqEdge {
+func (t *State) extractAllFrom(st *traceState, cnt *Counters, launch netlist.CellID, m Mode, dst []SeqEdge) []SeqEdge {
 	var src netlist.PinID
 	if t.ffIdx[launch] >= 0 {
 		src = t.D.FFQ(launch)
@@ -281,7 +281,7 @@ func (t *Timer) extractAllFrom(st *traceState, cnt *Counters, launch netlist.Cel
 // launchDelay returns the latency-independent, corner-derated launch delay
 // of a vertex: the source arrival at its output pin minus its clock latency
 // (PortLatency for ports).
-func (t *Timer) launchDelay(launch netlist.CellID, m Mode) float64 {
+func (t *State) launchDelay(launch netlist.CellID, m Mode) float64 {
 	var src netlist.PinID
 	var lat float64
 	if t.ffIdx[launch] >= 0 {
@@ -301,11 +301,11 @@ func (t *Timer) launchDelay(launch netlist.CellID, m Mode) float64 {
 // ExtractAllInto extracts every incoming sequential edge of a capture vertex
 // by a full (unpruned) backward traversal — the latency-constraint edge
 // extraction of IC-CSS+ (§III-E ii).
-func (t *Timer) ExtractAllInto(capture netlist.CellID, m Mode, dst []SeqEdge) []SeqEdge {
+func (t *State) ExtractAllInto(capture netlist.CellID, m Mode, dst []SeqEdge) []SeqEdge {
 	return t.extractAllInto(&t.trace, &t.Stats, capture, m, dst)
 }
 
-func (t *Timer) extractAllInto(st *traceState, cnt *Counters, capture netlist.CellID, m Mode, dst []SeqEdge) []SeqEdge {
+func (t *State) extractAllInto(st *traceState, cnt *Counters, capture netlist.CellID, m Mode, dst []SeqEdge) []SeqEdge {
 	e := t.endpointOf[capture]
 	if e == NoEndpoint {
 		return dst
@@ -369,7 +369,7 @@ func (t *Timer) extractAllInto(st *traceState, cnt *Counters, capture netlist.Ce
 // plus the longest combinational path from its output to any endpoint) — the
 // d^out quantity IC-CSS precomputes once (Eq 8). Vertices with no outgoing
 // paths report -Inf.
-func (t *Timer) DOut(launch netlist.CellID) float64 {
+func (t *State) DOut(launch netlist.CellID) float64 {
 	if !t.doutValid {
 		t.computeDOut()
 	}
@@ -387,7 +387,7 @@ func (t *Timer) DOut(launch netlist.CellID) float64 {
 
 // computeDOut fills t.dout with the maximum delay from each pin to any
 // endpoint, in one reverse-topological pass over the CSR fanout arrays.
-func (t *Timer) computeDOut() {
+func (t *State) computeDOut() {
 	np := len(t.D.Pins)
 	if len(t.dout) < np {
 		t.dout = make([]float64, np)
@@ -417,13 +417,13 @@ func (t *Timer) computeDOut() {
 
 // InvalidateDOut drops the cached d^out table (call after delays change if a
 // fresh table is required; IC-CSS deliberately computes it only once).
-func (t *Timer) InvalidateDOut() { t.doutValid = false }
+func (t *State) InvalidateDOut() { t.doutValid = false }
 
 // WorstPath returns the pins of the endpoint's worst path in the given mode,
 // ordered from the launch pin to the endpoint pin. It follows the arrival
 // arithmetic backwards: at each pin it steps to the fanin that realizes the
 // pin's extreme arrival. Returns nil if the endpoint has no arriving path.
-func (t *Timer) WorstPath(e EndpointID, m Mode) []netlist.PinID {
+func (t *State) WorstPath(e EndpointID, m Mode) []netlist.PinID {
 	p := t.endpoints[e].Pin
 	if !t.inData[p] {
 		return nil

@@ -205,11 +205,7 @@ func (g *Graph) buildOrderBuckets() {
 func (g *Graph) blankState() *State {
 	d := g.D
 	np := len(d.Pins)
-	t := &State{
-		Graph:   g,
-		period:  d.Period,
-		workers: 1,
-	}
+	t := &State{Graph: g, period: d.Period}
 	t.dEarly, t.dLate = normalizeDerates(g.M.DerateEarly, g.M.DerateLate)
 	t.atMin = make([]float64, np)
 	t.atMax = make([]float64, np)

@@ -18,7 +18,7 @@ import (
 // requireLaunchSlacksMatchFresh asserts every flip-flop's launch slacks
 // match a timer built from scratch on tm's design, period and predictive
 // latencies, within TestIncrementalMatchesFull's tolerance.
-func requireLaunchSlacksMatchFresh(t *testing.T, step string, tm *timing.Timer) {
+func requireLaunchSlacksMatchFresh(t *testing.T, step string, tm *timing.State) {
 	t.Helper()
 	d := tm.D
 	fresh, err := timing.New(d, delay.Default())
@@ -45,13 +45,12 @@ func requireLaunchSlacksMatchFresh(t *testing.T, step string, tm *timing.Timer) 
 // reconnections and period what-ifs, applied as plain Updates and as
 // committed or rolled-back trials, with required-time reads at random
 // points in between, leave launch slacks that match a from-scratch timer,
-// on the serial and the worker-pool paths.
+// under two step sequences.
 func TestLazyRequiredMatchesFull(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, seed := range []int64{17, 19} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			tm := genTimer(t)
-			tm.SetWorkers(workers)
-			tr := newTrialer(tm, 17)
+			tr := newTrialer(tm, seed)
 			period := tm.Period()
 			for i := 0; i < 60; i++ {
 				switch tr.rng.Intn(8) {
@@ -87,7 +86,7 @@ func TestLazyRequiredMatchesFull(t *testing.T) {
 // same settled values as a timer without the hook.
 func TestRequiredReadIgnoresCheck(t *testing.T) {
 	ref, tm := genTimer(t), genTimer(t)
-	for _, x := range []*timing.Timer{ref, tm} {
+	for _, x := range []*timing.State{ref, tm} {
 		for i := 0; i < len(x.D.FFs); i += 3 {
 			x.AddExtraLatency(x.D.FFs[i], 40)
 		}
@@ -141,7 +140,7 @@ func TestRollbackKeepsCommittedSeeds(t *testing.T) {
 		alone, both := genTimer(t), genTimer(t)
 		trAlone, trBoth := newTrialer(alone, seed), newTrialer(both, seed)
 		for _, x := range []struct {
-			tm *timing.Timer
+			tm *timing.State
 			tr *trialer
 		}{{alone, trAlone}, {both, trBoth}} {
 			x.tm.Checkpoint()
@@ -219,7 +218,7 @@ func TestCornerSetSettlesEveryCorner(t *testing.T) {
 			}
 		}
 	}
-	fresh := make([]*timing.Timer, len(corners))
+	fresh := make([]*timing.State, len(corners))
 	for i := range fresh {
 		s := g.NewState()
 		s.SetPeriod(cs.State(i).Period())

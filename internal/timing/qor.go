@@ -27,7 +27,7 @@ type QoR struct {
 }
 
 // ReportQoR gathers the summary under the timer's current state.
-func (t *Timer) ReportQoR() QoR {
+func (t *State) ReportQoR() QoR {
 	d := t.D
 	q := QoR{Endpoints: len(t.endpoints), HPWL: d.HPWL(), FFs: len(d.FFs), LCBs: len(d.LCBs)}
 	q.WNSEarly, q.TNSEarly = t.WNSTNS(Early)

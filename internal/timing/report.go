@@ -36,7 +36,7 @@ type PathReport struct {
 
 // ReportPath reconstructs the endpoint's worst path with per-pin timing.
 // Returns nil if the endpoint has no arriving path.
-func (t *Timer) ReportPath(e EndpointID, m Mode) *PathReport {
+func (t *State) ReportPath(e EndpointID, m Mode) *PathReport {
 	pins := t.WorstPath(e, m)
 	if len(pins) == 0 {
 		return nil
@@ -115,7 +115,7 @@ func (r *PathReport) Format() string {
 // WorstPaths returns path reports for the k worst endpoints in the given
 // mode, most negative slack first. Endpoints with infinite slack (no
 // arriving paths) are skipped.
-func (t *Timer) WorstPaths(m Mode, k int) []*PathReport {
+func (t *State) WorstPaths(m Mode, k int) []*PathReport {
 	type es struct {
 		e EndpointID
 		s float64
@@ -157,7 +157,7 @@ type Histogram struct {
 
 // SlackHistogram bins the endpoint slacks of the given mode. binWidth must
 // be positive.
-func (t *Timer) SlackHistogram(m Mode, binWidth float64) Histogram {
+func (t *State) SlackHistogram(m Mode, binWidth float64) Histogram {
 	h := Histogram{BinWidth: binWidth}
 	if binWidth <= 0 {
 		return h

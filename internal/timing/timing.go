@@ -22,7 +22,6 @@ package timing
 
 import (
 	"math"
-	"runtime"
 	"slices"
 
 	"iterskew/internal/delay"
@@ -48,7 +47,7 @@ func (m Mode) String() string {
 	return "late"
 }
 
-// EndpointID indexes Timer.endpoints.
+// EndpointID indexes the graph's endpoint table.
 type EndpointID int32
 
 // NoEndpoint is returned when a cell has no timing endpoint.
@@ -79,8 +78,8 @@ const eps = 1e-9
 // latencies, the per-pin arc delays, dirty queues and all per-session
 // scratch, layered over an immutable compiled *Graph (embedded, so graph
 // topology and tables read naturally as t.level, t.fwdArc, ...). Many States
-// may share one Graph concurrently; a State itself is single-threaded
-// (its Update fans work out to its own worker pool internally).
+// may share one Graph concurrently; a State itself is single-threaded, and
+// only its batch extractors fan work out, to a pool sized per call.
 type State struct {
 	*Graph
 
@@ -120,7 +119,6 @@ type State struct {
 	bwdBuckets [][]netlist.PinID
 	inFwd      []bool
 	inBwd      []bool
-	changedBuf []bool // per-bucket parallel changed flags
 	// reqStale reports backward seeds queued since the last drain: the
 	// required times settle at the next LaunchLateSlack/LaunchEarlySlack.
 	reqStale bool
@@ -130,9 +128,7 @@ type State struct {
 	dout      []float64
 	doutValid bool
 
-	// Parallel-propagation state.
-	workers int         // worker-pool width used by Update (1 = serial)
-	pool    extractPool // batch-extraction worker scratch (batch.go)
+	pool extractPool // batch-extraction worker scratch (batch.go)
 
 	// Cooperative-stop hook (see SetCheck). nil means never stop.
 	check func() bool
@@ -157,17 +153,12 @@ type State struct {
 	undo undoLog
 }
 
-// Timer is the classic single-session handle: one State over its own Graph.
-// The alias keeps every historical call site — and every method below —
-// valid under the Graph/State split.
-type Timer = State
-
 // New builds a timer over d using model m: it compiles the graph and returns
 // a fresh state, equivalent to Compile followed by NewState. It returns an
 // error if the data graph contains a combinational cycle. Callers creating
 // many sessions over one design should Compile once and call NewState per
 // session instead.
-func New(d *netlist.Design, m delay.Model) (*Timer, error) {
+func New(d *netlist.Design, m delay.Model) (*State, error) {
 	g, err := Compile(d, m)
 	if err != nil {
 		return nil, err
@@ -243,20 +234,6 @@ func (t *State) setDriverDelay(p netlist.PinID, load float64) {
 	}
 }
 
-// SetWorkers sets the worker-pool width used by incremental Update and the
-// batch extractors (n <= 0 means GOMAXPROCS). Results are bit-identical at
-// any width; 1 (the default) runs fully serial.
-func (t *Timer) SetWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	t.workers = n
-	t.rec.SetGauge(obs.GaugeWorkers, int64(n))
-}
-
-// Workers returns the current worker-pool width.
-func (t *Timer) Workers() int { return t.workers }
-
 // SetCheck installs an amortized cooperative-stop hook (nil uninstalls).
 // While installed, long-running timer work probes it at coarse boundaries —
 // between level buckets during incremental Update and per trace root during
@@ -272,52 +249,49 @@ func (t *Timer) Workers() int { return t.workers }
 // far. The required-time drain at a launch-slack read never probes the
 // hook, so a read always returns settled values. With no hook installed the
 // probes cost a nil check and behavior is unchanged.
-func (t *Timer) SetCheck(f func() bool) { t.check = f }
+func (t *State) SetCheck(f func() bool) { t.check = f }
 
 // Check returns the installed cooperative-stop hook (nil if none), so
 // callers can save and restore it around a nested use.
-func (t *Timer) Check() func() bool { return t.check }
+func (t *State) Check() func() bool { return t.check }
 
 // stopRequested probes the cooperative-stop hook.
-func (t *Timer) stopRequested() bool { return t.check != nil && t.check() }
+func (t *State) stopRequested() bool { return t.check != nil && t.check() }
 
 // SetRecorder installs an instrumentation recorder on the timer (nil
 // uninstalls). With no recorder the instrumented paths cost a nil check and
 // allocate nothing.
-func (t *Timer) SetRecorder(r *obs.Recorder) {
-	t.rec = r
-	t.rec.SetGauge(obs.GaugeWorkers, int64(t.workers))
-}
+func (t *State) SetRecorder(r *obs.Recorder) { t.rec = r }
 
 // Recorder returns the installed instrumentation recorder (nil if none).
-func (t *Timer) Recorder() *obs.Recorder { return t.rec }
+func (t *State) Recorder() *obs.Recorder { return t.rec }
 
 // SetReq tags this state's subsequently recorded timer spans (Update,
 // FullUpdate, batch extraction) with a request ID, so a service job's trace
 // is attributable to the request that ran it ("" untags). The engine sets
 // it from the job's context and clears it when the state is recycled.
-func (t *Timer) SetReq(id string) { t.req = id }
+func (t *State) SetReq(id string) { t.req = id }
 
 // Req returns the request ID the state's spans are tagged with ("" if none).
-func (t *Timer) Req() string { return t.req }
+func (t *State) Req() string { return t.req }
 
 // Latency returns the current effective clock latency of a flip-flop: the
 // physical clock-network arrival plus any predictive CSS latency.
-func (t *Timer) Latency(ff netlist.CellID) float64 {
+func (t *State) Latency(ff netlist.CellID) float64 {
 	i := t.ffIdx[ff]
 	return t.baseLat[i] + t.extraLat[i]
 }
 
 // BaseLatency returns the physical clock-network arrival at the flip-flop's
 // CK pin.
-func (t *Timer) BaseLatency(ff netlist.CellID) float64 { return t.baseLat[t.ffIdx[ff]] }
+func (t *State) BaseLatency(ff netlist.CellID) float64 { return t.baseLat[t.ffIdx[ff]] }
 
 // ExtraLatency returns the predictive CSS latency of a flip-flop.
-func (t *Timer) ExtraLatency(ff netlist.CellID) float64 { return t.extraLat[t.ffIdx[ff]] }
+func (t *State) ExtraLatency(ff netlist.CellID) float64 { return t.extraLat[t.ffIdx[ff]] }
 
 // SetExtraLatency sets the predictive CSS latency of a flip-flop. The change
 // takes effect at the next Update call.
-func (t *Timer) SetExtraLatency(ff netlist.CellID, l float64) {
+func (t *State) SetExtraLatency(ff netlist.CellID, l float64) {
 	i := t.ffIdx[ff]
 	if t.extraLat[i] == l {
 		return
@@ -328,7 +302,7 @@ func (t *Timer) SetExtraLatency(ff netlist.CellID, l float64) {
 }
 
 // AddExtraLatency increments the predictive CSS latency of a flip-flop.
-func (t *Timer) AddExtraLatency(ff netlist.CellID, dl float64) {
+func (t *State) AddExtraLatency(ff netlist.CellID, dl float64) {
 	if dl == 0 {
 		return
 	}
@@ -338,7 +312,7 @@ func (t *Timer) AddExtraLatency(ff netlist.CellID, dl float64) {
 	t.markFFDirty(ff, i)
 }
 
-func (t *Timer) markFFDirty(ff netlist.CellID, i int32) {
+func (t *State) markFFDirty(ff netlist.CellID, i int32) {
 	if !t.ffDirtyMark[i] {
 		t.ffDirtyMark[i] = true
 		t.dirtyFFList = append(t.dirtyFFList, ff)
@@ -350,7 +324,7 @@ func (t *Timer) markFFDirty(ff netlist.CellID, i int32) {
 // reconnection changes the load of both LCBs involved: dirty the flip-flop
 // and both LCBs, since Update re-times only the LCBs whose output net is
 // dirty.
-func (t *Timer) DirtyCell(c netlist.CellID) {
+func (t *State) DirtyCell(c netlist.CellID) {
 	if !t.cellDirtyMark[c] {
 		t.cellDirtyMark[c] = true
 		t.dirtyCellList = append(t.dirtyCellList, c)
@@ -358,7 +332,7 @@ func (t *Timer) DirtyCell(c netlist.CellID) {
 }
 
 // clearDirty resets both pending-change queues.
-func (t *Timer) clearDirty() {
+func (t *State) clearDirty() {
 	for _, ff := range t.dirtyFFList {
 		t.ffDirtyMark[t.ffIdx[ff]] = false
 	}
@@ -372,13 +346,13 @@ func (t *Timer) clearDirty() {
 // clearWorklists empties the propagation buckets: the forward ones hold pins
 // only after an Update aborted by the SetCheck hook, the backward ones the
 // seeds no required-time read has drained yet.
-func (t *Timer) clearWorklists() {
+func (t *State) clearWorklists() {
 	t.clearForward()
 	t.truncateBackward(nil, false)
 }
 
 // clearForward empties the forward buckets.
-func (t *Timer) clearForward() {
+func (t *State) clearForward() {
 	for lvl, bucket := range t.fwdBuckets {
 		for _, p := range bucket {
 			t.inFwd[p] = false
@@ -390,7 +364,7 @@ func (t *Timer) clearForward() {
 // truncateBackward cuts every backward bucket back to its length in lens
 // (to empty when lens is nil), unqueueing the pins it drops, and sets
 // reqStale to stale, which the caller knows to match the lengths.
-func (t *Timer) truncateBackward(lens []int32, stale bool) {
+func (t *State) truncateBackward(lens []int32, stale bool) {
 	t.reqStale = stale
 	for lvl, bucket := range t.bwdBuckets {
 		n := 0
@@ -411,7 +385,7 @@ func (t *Timer) truncateBackward(lens []int32, stale bool) {
 // the cached one, which moves every LCB. That is exact under DirtyCell's
 // contract: an LCB with an unchanged input arrival and an unchanged output
 // net recomputes the same latencies, which the eps gate leaves alone.
-func (t *Timer) recomputeClock(all bool) []netlist.CellID {
+func (t *State) recomputeClock(all bool) []netlist.CellID {
 	d := t.D
 	changed := t.clkChanged[:0]
 	if d.ClockRoot == netlist.NoCell {
@@ -458,7 +432,7 @@ func (t *Timer) recomputeClock(all bool) []netlist.CellID {
 
 // retimeLCB re-times the flip-flops on one LCB's output net from the cached
 // LCB-input arrival, appending those whose base latency moved to changed.
-func (t *Timer) retimeLCB(lcb netlist.CellID, rootNet netlist.NetID, changed []netlist.CellID) []netlist.CellID {
+func (t *State) retimeLCB(lcb netlist.CellID, rootNet netlist.NetID, changed []netlist.CellID) []netlist.CellID {
 	d := t.D
 	if d.Pins[d.LCBIn(lcb)].Net != rootNet {
 		return changed
@@ -487,7 +461,7 @@ func (t *Timer) retimeLCB(lcb netlist.CellID, rootNet netlist.NetID, changed []n
 // FullUpdate recomputes the clock network, every arc delay, and all arrival
 // and required times from scratch, discarding the queued seeds. It closes
 // an open checkpoint, keeping its changes (as Commit does).
-func (t *Timer) FullUpdate() {
+func (t *State) FullUpdate() {
 	sp := t.rec.StartSpan(obs.SpanTimerFullUpdate).WithReq(t.req)
 	t.rec.Add(obs.CtrTimerFullUpdates, 1)
 	t.Stats.FullUpdates++
@@ -526,7 +500,7 @@ func (t *Timer) FullUpdate() {
 // (for flip-flops) plus the driver's resistance times the output net load,
 // cached in dIn — and derated per analysis corner; clock latencies are not
 // derated (ideal common clock, no CPPR needed).
-func (t *Timer) sourceArrival(p netlist.PinID) (early, late float64, ok bool) {
+func (t *State) sourceArrival(p netlist.PinID) (early, late float64, ok bool) {
 	d := t.D
 	c := d.Pins[p].Cell
 	var lat float64
@@ -547,7 +521,7 @@ func (t *Timer) sourceArrival(p netlist.PinID) (early, late float64, ok bool) {
 
 // evalArrival recomputes atMin/atMax of p from its fanin; it reports whether
 // either value changed.
-func (t *Timer) evalArrival(p netlist.PinID) bool {
+func (t *State) evalArrival(p netlist.PinID) bool {
 	arcs := t.faninArcs(p)
 	if len(arcs) == 0 {
 		// Only a pin without fanin can be a source.
@@ -577,7 +551,7 @@ func (t *Timer) evalArrival(p netlist.PinID) bool {
 
 // endpointRequired returns the (late, early) required times for endpoint
 // pins, and whether p is an endpoint pin.
-func (t *Timer) endpointRequired(p netlist.PinID) (reqLate, reqEarly float64, ok bool) {
+func (t *State) endpointRequired(p netlist.PinID) (reqLate, reqEarly float64, ok bool) {
 	d := t.D
 	pin := &d.Pins[p]
 	cell := &d.Cells[pin.Cell]
@@ -596,18 +570,18 @@ func (t *Timer) endpointRequired(p netlist.PinID) (reqLate, reqEarly float64, ok
 
 // ffRequired returns a flip-flop D pin's (late, early) required times under
 // capture latency l.
-func (t *Timer) ffRequired(typ *netlist.CellType, l float64) (reqLate, reqEarly float64) {
+func (t *State) ffRequired(typ *netlist.CellType, l float64) (reqLate, reqEarly float64) {
 	return l + t.period - typ.Setup, l + typ.Hold
 }
 
 // portRequired returns an output port's (late, early) required times.
-func (t *Timer) portRequired(port netlist.CellID) (reqLate, reqEarly float64) {
+func (t *State) portRequired(port netlist.CellID) (reqLate, reqEarly float64) {
 	return t.D.PortLatency + t.period - t.D.OutDelay[port], t.D.PortLatency
 }
 
 // evalRequired recomputes reqMax/reqMin of p from its fanout; it reports
 // whether either value changed.
-func (t *Timer) evalRequired(p netlist.PinID) bool {
+func (t *State) evalRequired(p netlist.PinID) bool {
 	arcs := t.fanoutArcs(p)
 	if len(arcs) == 0 {
 		// Only a pin without fanout can be an endpoint.
@@ -648,7 +622,7 @@ func feq(a, b float64) bool {
 // first LaunchLateSlack or LaunchEarlySlack read. Every other slack query
 // (Slack, WNSTNS, SlackDelta, the extractors) reads only arrivals and
 // latencies, so it is exact right after Update.
-func (t *Timer) Update() int {
+func (t *State) Update() int {
 	sp := t.rec.StartSpan(obs.SpanTimerUpdate).WithReq(t.req)
 	if t.rec != nil {
 		t.rec.Add(obs.CtrTimerUpdates, 1)
@@ -731,7 +705,7 @@ func (t *Timer) Update() int {
 	return visited
 }
 
-func (t *Timer) seedFwd(p netlist.PinID) {
+func (t *State) seedFwd(p netlist.PinID) {
 	if t.inFwd[p] {
 		return
 	}
@@ -740,7 +714,7 @@ func (t *Timer) seedFwd(p netlist.PinID) {
 	t.Stats.IncrementalSeeds++
 }
 
-func (t *Timer) seedBwd(p netlist.PinID) {
+func (t *State) seedBwd(p netlist.PinID) {
 	if t.inBwd[p] {
 		return
 	}
@@ -749,32 +723,16 @@ func (t *Timer) seedBwd(p netlist.PinID) {
 	t.reqStale = true
 }
 
-// parallelBucketMin is the minimum level-bucket size worth fanning out to
-// the worker pool.
-const parallelBucketMin = 64
-
-// changedScratch returns the reusable per-bucket changed-flag scratch,
-// sized to n.
-func (t *Timer) changedScratch(n int) []bool {
-	if cap(t.changedBuf) < n {
-		t.changedBuf = make([]bool, n)
-	}
-	return t.changedBuf[:n]
-}
-
-// runForward drains the forward worklist level by level. A pin's fanout is
-// strictly deeper than the pin itself, so seeding never mutates the bucket
-// being drained, and pins within one level are independent: large buckets
-// are evaluated by the worker pool first, then traversed serially in bucket
-// order to seed — exactly the serial visit/seed order, hence bit-identical
-// results at any worker count.
+// runForward drains the forward worklist level by level, in bucket order. A
+// pin's fanout is strictly deeper than the pin itself, so seeding never
+// mutates the bucket being drained.
 //
 // Arrival changes shift endpoint slacks only; required times change only at
 // endpoints via latency, which is seeded separately — so the forward pass
 // never seeds the backward worklist.
 //
 // It returns the pins visited and the non-empty level buckets swept.
-func (t *Timer) runForward() (int, int) {
+func (t *State) runForward() (int, int) {
 	visited, levels := 0, 0
 	for lvl := int32(0); lvl <= t.maxLvl; lvl++ {
 		if t.stopRequested() {
@@ -788,25 +746,6 @@ func (t *Timer) runForward() (int, int) {
 		levels++
 		if t.undo.open {
 			t.undo.at = logTimes(t.undo.at, bucket, t.atMin, t.atMax)
-		}
-		if t.workers > 1 && len(bucket) >= parallelBucketMin {
-			changed := t.changedScratch(len(bucket))
-			chunked(t.workers, len(bucket), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					changed[i] = t.evalArrival(bucket[i])
-				}
-			})
-			for i, p := range bucket {
-				t.inFwd[p] = false
-				visited++
-				t.Stats.ForwardPinVisits++
-				if changed[i] {
-					for _, a := range t.fanoutArcs(p) {
-						t.seedFwd(a.To)
-					}
-				}
-			}
-			continue
 		}
 		for _, p := range bucket {
 			t.inFwd[p] = false
@@ -825,7 +764,7 @@ func (t *Timer) runForward() (int, int) {
 // settleRequired drains the queued backward seeds, so the required times
 // are exact, before a required-time read. A read inside an open checkpoint
 // panics: the trial log records no required time.
-func (t *Timer) settleRequired() {
+func (t *State) settleRequired() {
 	if t.undo.open {
 		panic("timing: required-time read with a checkpoint open")
 	}
@@ -841,9 +780,9 @@ func (t *Timer) settleRequired() {
 }
 
 // runBackward drains the backward worklist level by level, deepest first,
-// on the same serial-seed discipline as runForward. It never probes the
-// SetCheck hook: a required-time read must return settled values.
-func (t *Timer) runBackward() (int, int) {
+// like runForward. It never probes the SetCheck hook: a required-time read
+// must return settled values.
+func (t *State) runBackward() (int, int) {
 	visited, levels := 0, 0
 	for lvl := t.maxLvl; lvl >= 0; lvl-- {
 		bucket := t.bwdBuckets[lvl]
@@ -852,25 +791,6 @@ func (t *Timer) runBackward() (int, int) {
 			continue
 		}
 		levels++
-		if t.workers > 1 && len(bucket) >= parallelBucketMin {
-			changed := t.changedScratch(len(bucket))
-			chunked(t.workers, len(bucket), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					changed[i] = t.evalRequired(bucket[i])
-				}
-			})
-			for i, p := range bucket {
-				t.inBwd[p] = false
-				visited++
-				t.Stats.BackwardPinVisits++
-				if changed[i] {
-					for _, a := range t.faninArcs(p) {
-						t.seedBwd(a.To)
-					}
-				}
-			}
-			continue
-		}
 		for _, p := range bucket {
 			t.inBwd[p] = false
 			visited++
@@ -887,7 +807,7 @@ func (t *Timer) runBackward() (int, int) {
 
 // LateSlack returns the setup slack of an endpoint: required − max arrival.
 // Endpoints with no arriving path have +Inf slack.
-func (t *Timer) LateSlack(e EndpointID) float64 {
+func (t *State) LateSlack(e EndpointID) float64 {
 	p := t.endpoints[e].Pin
 	if math.IsInf(t.atMax[p], -1) {
 		return math.Inf(1)
@@ -899,7 +819,7 @@ func (t *Timer) LateSlack(e EndpointID) float64 {
 // slackWith is the slack formula of LateSlack/EarlySlack over an explicit
 // capture latency and endpoint-pin arrivals, so SlackDelta can evaluate the
 // values logged before a checkpoint.
-func (t *Timer) slackWith(e EndpointID, m Mode, lat, atMin, atMax float64) float64 {
+func (t *State) slackWith(e EndpointID, m Mode, lat, atMin, atMax float64) float64 {
 	ep := &t.endpoints[e]
 	var rl, re float64
 	if ep.IsPort {
@@ -920,7 +840,7 @@ func (t *Timer) slackWith(e EndpointID, m Mode, lat, atMin, atMax float64) float
 }
 
 // EarlySlack returns the hold slack of an endpoint: min arrival − required.
-func (t *Timer) EarlySlack(e EndpointID) float64 {
+func (t *State) EarlySlack(e EndpointID) float64 {
 	p := t.endpoints[e].Pin
 	if math.IsInf(t.atMin[p], 1) {
 		return math.Inf(1)
@@ -930,7 +850,7 @@ func (t *Timer) EarlySlack(e EndpointID) float64 {
 }
 
 // Slack returns the endpoint slack in the given mode.
-func (t *Timer) Slack(e EndpointID, m Mode) float64 {
+func (t *State) Slack(e EndpointID, m Mode) float64 {
 	if m == Early {
 		return t.EarlySlack(e)
 	}
@@ -943,7 +863,7 @@ func (t *Timer) Slack(e EndpointID, m Mode) float64 {
 // backward late required time at the Q pin, so the first read after an
 // Update drains the queued backward seeds. It panics while a checkpoint is
 // open.
-func (t *Timer) LaunchLateSlack(ff netlist.CellID) float64 {
+func (t *State) LaunchLateSlack(ff netlist.CellID) float64 {
 	t.settleRequired()
 	q := t.D.FFQ(ff)
 	if math.IsInf(t.reqMax[q], 1) {
@@ -956,7 +876,7 @@ func (t *Timer) LaunchLateSlack(ff netlist.CellID) float64 {
 // launched by the flip-flop (min arrival − early required at the Q pin).
 // Like LaunchLateSlack it settles the required times first, and it panics
 // while a checkpoint is open.
-func (t *Timer) LaunchEarlySlack(ff netlist.CellID) float64 {
+func (t *State) LaunchEarlySlack(ff netlist.CellID) float64 {
 	t.settleRequired()
 	q := t.D.FFQ(ff)
 	if math.IsInf(t.reqMin[q], -1) {
@@ -968,7 +888,7 @@ func (t *Timer) LaunchEarlySlack(ff netlist.CellID) float64 {
 // WNSTNS returns the worst and total negative slack over all endpoints in
 // the given mode. TNS sums one worst violation per endpoint, matching the
 // ICCAD-2015 evaluator.
-func (t *Timer) WNSTNS(m Mode) (wns, tns float64) {
+func (t *State) WNSTNS(m Mode) (wns, tns float64) {
 	for e := range t.endpoints {
 		s := t.Slack(EndpointID(e), m)
 		if s < 0 {
@@ -983,7 +903,7 @@ func (t *Timer) WNSTNS(m Mode) (wns, tns float64) {
 
 // ViolatedEndpoints appends to dst the endpoints with negative slack in the
 // given mode, and returns the extended slice.
-func (t *Timer) ViolatedEndpoints(m Mode, dst []EndpointID) []EndpointID {
+func (t *State) ViolatedEndpoints(m Mode, dst []EndpointID) []EndpointID {
 	for e := range t.endpoints {
 		if t.Slack(EndpointID(e), m) < -eps {
 			dst = append(dst, EndpointID(e))
@@ -993,7 +913,7 @@ func (t *Timer) ViolatedEndpoints(m Mode, dst []EndpointID) []EndpointID {
 }
 
 // ArrivalMax and ArrivalMin expose raw arrivals for white-box tests.
-func (t *Timer) ArrivalMax(p netlist.PinID) float64 { return t.atMax[p] }
+func (t *State) ArrivalMax(p netlist.PinID) float64 { return t.atMax[p] }
 
 // ArrivalMin returns the min (early) arrival time at a pin.
-func (t *Timer) ArrivalMin(p netlist.PinID) float64 { return t.atMin[p] }
+func (t *State) ArrivalMin(p netlist.PinID) float64 { return t.atMin[p] }

@@ -18,7 +18,7 @@ import (
 // be computed by hand (see the constants below).
 type fixture struct {
 	d                    *netlist.Design
-	t                    *Timer
+	t                    *State
 	in, gA, ffA, gB, ffB netlist.CellID
 	out, root, lcb       netlist.CellID
 }

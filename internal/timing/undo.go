@@ -14,9 +14,8 @@ import (
 // or, on rejection, revert the design and Rollback. While a checkpoint is
 // open, every write Update makes to the analysis state first appends the old
 // value to an undo log: arrival times once per level bucket (never per pin
-// inside evalArrival, and on the serial and the worker path alike, so the
-// worker pool never touches the log), and arc delays and clock latencies at
-// their writers; the two-word clock-input cache is saved whole at
+// inside evalArrival), and arc delays and clock latencies at their writers;
+// the two-word clock-input cache is saved whole at
 // Checkpoint. Rollback replays the log backwards in O(log length), so a
 // rejected trial costs no second propagation, and SlackDelta reads the same
 // log, so an accept/reject decision never scans every endpoint.

@@ -36,7 +36,7 @@ func (o *Options) defaults() {
 }
 
 // Render writes an SVG view of the timer's design.
-func Render(w io.Writer, tm *timing.Timer, o Options) error {
+func Render(w io.Writer, tm *timing.State, o Options) error {
 	o.defaults()
 	d := tm.D
 	die := d.Die
@@ -146,7 +146,7 @@ func Render(w io.Writer, tm *timing.Timer, o Options) error {
 	return bw.Flush()
 }
 
-func statLine(tm *timing.Timer, m timing.Mode) string {
+func statLine(tm *timing.State, m timing.Mode) string {
 	wns, tns := tm.WNSTNS(m)
 	return fmt.Sprintf("WNS %.1fps TNS %.1fps", wns, tns)
 }

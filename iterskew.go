@@ -58,7 +58,7 @@ type (
 	CellID = netlist.CellID
 	// Timer is the static timing engine: a mutable per-session State over a
 	// shared immutable TimingGraph.
-	Timer = timing.Timer
+	Timer = timing.State
 	// TimingGraph is the immutable compiled half of the timer — topology,
 	// adjacency, levels and the pristine timing snapshot. One graph can back
 	// any number of concurrent Timer states (TimingGraph.NewState).
@@ -88,7 +88,7 @@ type (
 	// TimingGraph serving many concurrent scheduling sessions on pooled
 	// states.
 	Engine = engine.Engine
-	// EngineConfig tunes an Engine (in-flight bound, per-state workers).
+	// EngineConfig tunes an Engine (its in-flight session bound).
 	EngineConfig = engine.Config
 	// EngineJob describes one Engine scheduling session.
 	EngineJob = engine.Job

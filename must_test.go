@@ -31,7 +31,7 @@ func mustScheduleICCSS(tb testing.TB, tm *iterskew.Timer, o iterskew.ICCSSOption
 	return res
 }
 
-func mustCoreSchedule(tb testing.TB, tm *timing.Timer, o core.Options) *core.Result {
+func mustCoreSchedule(tb testing.TB, tm *timing.State, o core.Options) *core.Result {
 	tb.Helper()
 	res, err := core.Schedule(tm, o)
 	if err != nil {
@@ -40,7 +40,7 @@ func mustCoreSchedule(tb testing.TB, tm *timing.Timer, o core.Options) *core.Res
 	return res
 }
 
-func mustICCSSSchedule(tb testing.TB, tm *timing.Timer, o iccss.Options) *iccss.Result {
+func mustICCSSSchedule(tb testing.TB, tm *timing.State, o iccss.Options) *iccss.Result {
 	tb.Helper()
 	res, err := iccss.Schedule(tm, o)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 	"iterskew/internal/timing"
 )
 
-func allocTimer(t *testing.T) *timing.Timer {
+func allocTimer(t *testing.T) *timing.State {
 	t.Helper()
 	p, err := iterskew.SuperblueProfile("superblue18", 0.005)
 	if err != nil {

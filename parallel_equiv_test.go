@@ -96,51 +96,10 @@ func TestBatchExtractionEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelIncrementalUpdateEquivalence verifies that the worker-pool
-// incremental Update visits the same pins and produces bit-identical slacks
-// as the serial path, across seeds and repeated perturbation waves.
-func TestParallelIncrementalUpdateEquivalence(t *testing.T) {
-	for _, seed := range equivSeeds {
-		d := equivDesign(t, 0.01, seed)
-		serial, err := timing.New(d, delay.Default())
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := timing.New(d, delay.Default())
-		if err != nil {
-			t.Fatal(err)
-		}
-		par.SetWorkers(8)
-		for wave := 0; wave < 3; wave++ {
-			for i, ff := range d.FFs {
-				if i%5 == wave%5 {
-					l := float64((i+wave)%89) / 3
-					serial.SetExtraLatency(ff, l)
-					par.SetExtraLatency(ff, l)
-				}
-			}
-			v1 := serial.Update()
-			v2 := par.Update()
-			if v1 != v2 {
-				t.Fatalf("seed %d wave %d: serial visited %d pins, parallel %d", seed, wave, v1, v2)
-			}
-			for e := range serial.Endpoints() {
-				id := timing.EndpointID(e)
-				for _, m := range []timing.Mode{timing.Late, timing.Early} {
-					s1 := serial.Slack(id, m)
-					s2 := par.Slack(id, m)
-					if math.Float64bits(s1) != math.Float64bits(s2) {
-						t.Fatalf("seed %d wave %d endpoint %d %v slack: %v vs %v", seed, wave, e, m, s1, s2)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestScheduleWorkersEquivalence verifies the full schedulers are oblivious
-// to the worker width: core.Schedule and iccss.Schedule at Workers=8 must
-// reproduce the serial schedule exactly (targets, rounds, edge counts).
+// to the batch-extraction width: core.Schedule and iccss.Schedule at
+// Workers=8 must reproduce the serial schedule exactly (targets, rounds,
+// edge counts).
 func TestScheduleWorkersEquivalence(t *testing.T) {
 	sameTargets := func(label string, a, b map[netlist.CellID]float64) {
 		t.Helper()
@@ -162,9 +121,6 @@ func TestScheduleWorkersEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if workers > 1 {
-					tm.SetWorkers(workers)
-				}
 				return mustCoreSchedule(t, tm, core.Options{Mode: mode, Workers: workers})
 			}
 			r1, r8 := run(1), run(8)
@@ -178,9 +134,6 @@ func TestScheduleWorkersEquivalence(t *testing.T) {
 				tm, err := timing.New(d.Clone(), delay.Default())
 				if err != nil {
 					t.Fatal(err)
-				}
-				if workers > 1 {
-					tm.SetWorkers(workers)
 				}
 				return mustICCSSSchedule(t, tm, iccss.Options{Mode: mode, Workers: workers})
 			}

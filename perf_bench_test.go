@@ -17,7 +17,7 @@ import (
 // perfScale is the mid-size profile the hot-path benchmarks run on.
 const perfScale = 0.02
 
-func perfTimer(b *testing.B) *timing.Timer {
+func perfTimer(b *testing.B) *timing.State {
 	b.Helper()
 	d := genDesign(b, "superblue18", perfScale)
 	tm, err := timing.New(d, delay.Default())
@@ -71,30 +71,25 @@ func BenchmarkIncrementalUpdate(b *testing.B) { benchUpdate(b, false) }
 func BenchmarkSettledUpdate(b *testing.B) { benchUpdate(b, true) }
 
 func benchUpdate(b *testing.B, settle bool) {
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			tm := perfTimer(b)
-			tm.SetWorkers(workers)
-			ffs := tm.D.FFs
-			before := tm.Stats
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Rotate a 20% slice of the flip-flops each iteration so the
-				// dirty cones stay realistic for a CSS round.
-				for j := i % 5; j < len(ffs); j += 5 {
-					tm.SetExtraLatency(ffs[j], float64((i+j)%23))
-				}
-				tm.Update()
-				if settle {
-					tm.LaunchLateSlack(ffs[0])
-				}
-			}
-			pins := tm.Stats.ForwardPinVisits - before.ForwardPinVisits +
-				tm.Stats.BackwardPinVisits - before.BackwardPinVisits
-			b.ReportMetric(float64(pins)/float64(b.N), "pins/op")
-		})
+	tm := perfTimer(b)
+	ffs := tm.D.FFs
+	before := tm.Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Rotate a 20% slice of the flip-flops each iteration so the dirty
+		// cones stay realistic for a CSS round.
+		for j := i % 5; j < len(ffs); j += 5 {
+			tm.SetExtraLatency(ffs[j], float64((i+j)%23))
+		}
+		tm.Update()
+		if settle {
+			tm.LaunchLateSlack(ffs[0])
+		}
 	}
+	pins := tm.Stats.ForwardPinVisits - before.ForwardPinVisits +
+		tm.Stats.BackwardPinVisits - before.BackwardPinVisits
+	b.ReportMetric(float64(pins)/float64(b.N), "pins/op")
 }
 
 func BenchmarkCSRPropagation(b *testing.B) {
