@@ -18,13 +18,15 @@ test:
 
 # The concurrency-bearing packages (worker-pool batch extraction,
 # goroutine-per-corner CornerSet updates, the shared metrics recorder, the
-# compile-once/schedule-many session engine, the context-threading flow, and
-# the zero-copy graph codec whose decoded slabs are shared across sessions)
+# compile-once/schedule-many session engine, the context-threading flow, the
+# zero-copy graph codec whose decoded slabs are shared across sessions, and
+# the scheduler contract battery, which drives all three schedulers through
+# the shared run scaffold and probes the stop hook from extraction workers)
 # must stay race-clean. The second line runs the root-package corner-set
 # equivalence/MCMM tests, which drive the concurrent per-corner propagation
 # through the schedulers end to end.
 race:
-	$(GO) test -race ./internal/timing ./internal/core ./internal/obs ./internal/engine ./internal/flow ./internal/graphio ./internal/serve
+	$(GO) test -race ./internal/timing ./internal/core ./internal/obs ./internal/engine ./internal/flow ./internal/graphio ./internal/serve ./internal/sched
 	$(GO) test -race -run 'Corner' .
 
 # perfbench is a separate module, so the targets above never compile it.

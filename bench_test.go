@@ -364,15 +364,11 @@ func BenchmarkArborescence(b *testing.B) {
 	}
 	// Build a realistic essential graph once.
 	g := seqgraph.New()
-	isPort := func(c netlist.CellID) bool {
-		k := d.Cells[c].Type.Kind
-		return k == netlist.KindPortIn || k == netlist.KindPortOut
-	}
 	var buf []timing.SeqEdge
 	for _, e := range tm.ViolatedEndpoints(timing.Late, nil) {
 		buf = tm.ExtractEssentialAt(e, timing.Late, 0, buf[:0])
 		for _, se := range buf {
-			g.AddSeqEdge(se, isPort)
+			g.AddSeqEdge(se, d.IsPort)
 		}
 	}
 	w := make([]float64, len(g.Edges))

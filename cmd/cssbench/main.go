@@ -45,6 +45,7 @@ import (
 	"iterskew/internal/core"
 	"iterskew/internal/delay"
 	"iterskew/internal/engine"
+	"iterskew/internal/eval"
 	"iterskew/internal/fpm"
 	"iterskew/internal/graphio"
 	"iterskew/internal/iccss"
@@ -277,10 +278,10 @@ func main() {
 			}
 
 			a := aggs[m]
-			a.eWNSImp += imp(base.Final.WNSEarly, f.WNSEarly)
-			a.eTNSImp += imp(base.Final.TNSEarly, f.TNSEarly)
-			a.lWNSImp += imp(base.Final.WNSLate, f.WNSLate)
-			a.lTNSImp += imp(base.Final.TNSLate, f.TNSLate)
+			a.eWNSImp += eval.ImprovementPct(base.Final.WNSEarly, f.WNSEarly)
+			a.eTNSImp += eval.ImprovementPct(base.Final.TNSEarly, f.TNSEarly)
+			a.lWNSImp += eval.ImprovementPct(base.Final.WNSLate, f.WNSLate)
+			a.lTNSImp += eval.ImprovementPct(base.Final.TNSLate, f.TNSLate)
 			a.css += rep.CSSTime
 			a.opt += rep.OptTime
 			a.total += rep.Total
@@ -984,20 +985,6 @@ func validateTrace(path string) error {
 }
 
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
-
-func imp(before, after float64) float64 {
-	if before == 0 {
-		return 0
-	}
-	return (after - before) / abs(before) * 100
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
 
 func ratio(a, b float64) float64 {
 	if b == 0 {

@@ -14,7 +14,6 @@ import (
 
 	"iterskew"
 	"iterskew/internal/bench"
-	"iterskew/internal/netlist"
 	"iterskew/internal/seqgraph"
 	"iterskew/internal/timing"
 )
@@ -61,15 +60,11 @@ func main() {
 		// Cross-check on the cycle bound: extract the full sequential graph
 		// and compute the maximum mean cycle DELAY, the theoretical floor.
 		g := seqgraph.New()
-		isPort := func(c netlist.CellID) bool {
-			k := d.Cells[c].Type.Kind
-			return k == netlist.KindPortIn || k == netlist.KindPortOut
-		}
 		var buf []timing.SeqEdge
 		for _, ff := range d.FFs {
 			buf = tm.ExtractAllFrom(ff, timing.Late, buf[:0])
 			for _, e := range buf {
-				g.AddSeqEdge(e, isPort)
+				g.AddSeqEdge(e, d.IsPort)
 			}
 		}
 		// Cycle mean of DELAY+setup = minimum period on that cycle.

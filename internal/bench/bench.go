@@ -455,15 +455,6 @@ func pickNear(rng *rand.Rand, ffs []ffInfo, lcb, nLCB int) int {
 	return target + rng.Intn(count)*nLCB
 }
 
-func ffLCB(ffs []ffInfo, cell netlist.CellID) int {
-	for _, f := range ffs {
-		if f.cell == cell {
-			return f.lcb
-		}
-	}
-	return 0
-}
-
 // builder emits gate chains.
 type builder struct {
 	d         *netlist.Design

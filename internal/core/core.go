@@ -17,12 +17,16 @@
 //     edges — and by the user latency bounds of Eq (5);
 //  5. applies the increments as predictive latencies, re-propagates timing
 //     incrementally, and repeats until no vertex receives a new increment.
+//
+// The run scaffold the three schedulers share (validation, option defaults,
+// recorder, stop hook, round reports, the closing drain) is sched.Run; this
+// package keeps Alg 1 itself. IC-CSS+ reuses its cycle step (FreezeCycle),
+// its two passes (PassOne, PassTwo) and its increment step (Raise), as
+// §III-E prescribes.
 package core
 
 import (
-	"fmt"
 	"math"
-	"time"
 
 	"iterskew/internal/netlist"
 	"iterskew/internal/obs"
@@ -50,60 +54,21 @@ type (
 	Result = sched.Result
 )
 
-// ValidateInput checks a design for the degenerate shapes that make clock
-// skew scheduling meaningless, returning a *DegenerateInputError describing
-// the first one found. The schedulers call its timer-aware variant
-// (sched.ValidateTimer) on entry.
-func ValidateInput(d *netlist.Design) error { return sched.ValidateInput(d) }
-
 // Scheduler exposes Schedule behind the shared sched.Scheduler interface,
 // for callers (the engine) that dispatch on method dynamically.
 var Scheduler sched.Scheduler = sched.Func(Schedule)
 
-// isPortCell reports whether a cell is an I/O supernode.
-func isPortCell(d *netlist.Design, c netlist.CellID) bool {
-	k := d.Cells[c].Type.Kind
-	return k == netlist.KindPortIn || k == netlist.KindPortOut
-}
-
 // Schedule runs Alg 1 on the timer's design and returns the target
 // latencies. The computed latencies are left applied on the timer as
 // predictive (extra) latencies; callers that only want the schedule can
-// remove them afterwards. Degenerate designs (see ValidateInput) return a
-// *DegenerateInputError with no latencies applied.
+// remove them afterwards. Degenerate designs (see sched.ValidateInput) return
+// a *DegenerateInputError with no latencies applied.
 func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
-	start := time.Now()
-	if err := sched.ValidateTimer(tm); err != nil {
+	run, err := sched.Begin(tm, &opts, sched.Algo{Name: "core", Tag: "css", Hook: true})
+	if err != nil {
 		return nil, err
 	}
-	if opts.MaxRounds == 0 {
-		opts.MaxRounds = 200
-	}
-	rec := opts.Recorder
-	if rec == nil {
-		rec = tm.Recorder()
-	}
-	req := obs.RequestID(opts.Context)
-	runSp := rec.StartSpan(obs.SpanSchedule).WithReq(req)
-	// Cooperative cancellation: the amortized stop hook is installed on the
-	// timer only when a context or deadline is present, so uncancelled runs
-	// execute exactly the code they always did.
-	cc := opts.Canceller()
-	if cc.Active() {
-		prevCheck := tm.Check()
-		tm.SetCheck(cc.Stop)
-		defer tm.SetCheck(prevCheck)
-	}
-	logf := func(format string, args ...any) {
-		if opts.Log != nil {
-			fmt.Fprintf(opts.Log, format+"\n", args...)
-		}
-	}
-	d := tm.Design()
-	g := seqgraph.New()
-	isPort := func(c netlist.CellID) bool { return isPortCell(d, c) }
-
-	res := &Result{Target: map[netlist.CellID]float64{}, Graph: g}
+	res, g := run.Res, run.Res.Graph
 
 	// lastExtract records the endpoint slack at the time of its last
 	// extraction, so unchanged endpoints are skipped ("newly violated
@@ -114,7 +79,7 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 	var edgeBuf []timing.SeqEdge
 
 	extract := func(force bool) int {
-		esp := rec.StartSpan(obs.SpanRoundExtract).WithReq(req)
+		esp := run.Span(obs.SpanRoundExtract)
 		if opts.Margin > 0 {
 			// §V amplification: treat endpoints within the margin as
 			// violated, so near-critical edges (e.g. the remaining arcs of
@@ -140,82 +105,38 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 			lastExtract[e] = s
 		}
 		edgeBuf = tm.ExtractEssentialBatch(traceBuf, opts.Mode, opts.Margin, opts.Workers, edgeBuf[:0])
-		added := 0
-		for _, se := range edgeBuf {
-			if _, isNew := g.AddSeqEdge(se, isPort); isNew {
-				added++
-			}
-		}
+		added := run.AddEdges(edgeBuf)
 		esp.EndArg2("traced", int64(len(traceBuf)), "added", int64(added))
 		return added
-	}
-
-	// emitRound folds one finished round into the recorder (counters, JSONL
-	// event, live gauges) and fires the Progress callback. All of it no-ops
-	// without a recorder except Progress, which works standalone.
-	emitRound := func(st IterStats, stall int) {
-		if rec != nil {
-			rec.Add(obs.CtrRounds, 1)
-			rec.Add(obs.CtrRoundEdges, int64(st.NewEdges))
-			rec.Add(obs.CtrRaised, int64(st.Raised))
-			rec.Add(obs.CtrClampsEq11, int64(st.Clamped))
-			if st.CycleLen > 0 {
-				rec.Add(obs.CtrCyclesFrozen, 1)
-			}
-			rec.SetGauge(obs.GaugeGraphVerts, int64(g.NumVertices()))
-			rec.SetGauge(obs.GaugeGraphEdges, int64(len(g.Edges)))
-			rec.Emit(obs.Event{
-				Type: "round", Req: req, Algo: "core", Mode: opts.Mode.String(),
-				Round: st.Round, WNS: st.WNS, TNS: st.TNS,
-				NewEdges: st.NewEdges, Raised: st.Raised, CycleLen: st.CycleLen,
-				MaxInc: st.MaxInc, TimerPins: st.TimerPins, Stall: stall,
-				ElapsedMS: float64(time.Since(start).Nanoseconds()) / 1e6,
-				Corners:   sched.CornerStats(tm, opts.Mode),
-			})
-		}
-		if opts.Progress != nil {
-			opts.Progress(st)
-		}
 	}
 
 	// Eq-5 lower bounds: pre-apply the mandated minimum latencies so the
 	// iteration (which only ever raises) starts from a feasible point.
 	if opts.LatencyLB != nil {
-		applied := false
-		for _, ff := range d.FFs {
+		var lbs IterStats
+		for _, ff := range tm.Design().FFs {
 			if lb := opts.LatencyLB(ff); lb > eps {
-				tm.AddExtraLatency(ff, lb)
-				res.Target[ff] += lb
-				applied = true
+				run.Apply(ff, lb, &lbs)
 			}
 		}
-		if applied {
+		if lbs.Raised > 0 {
 			tm.Update()
 		}
 	}
 
-	if opts.StallRounds == 0 {
-		opts.StallRounds = 3
-	}
 	_, prevTNS := tm.WNSTNS(opts.Mode)
 	stall := sched.NewStallTracker(opts.StallRounds, prevTNS)
 
 	res.StopReason = sched.StopRoundCap
 	finalSweepDone := false
 	for round := 0; round < opts.MaxRounds; round++ {
-		if r, stop := cc.Reason(); stop {
-			res.StopReason = r
+		if run.Interrupted() {
 			break
 		}
-		roundSp := rec.StartSpan(obs.SpanRound).WithReq(req)
-		newEdges := extract(false)
+		roundSp := run.Span(obs.SpanRound)
+		st := IterStats{Round: round, NewEdges: extract(false)}
 
-		// Current weights (Eq 10 realized by re-evaluating Eq 1–2 under the
-		// present latencies).
-		w := make([]float64, len(g.Edges))
-		for i := range g.Edges {
-			w[i] = tm.EdgeSlack(g.Edges[i].Seq)
-		}
+		w := Weights(tm, g)
 		// The working edge set keeps just-fixed (zero-slack) edges — they
 		// are what lets arborescence construction recognize a cycle whose
 		// edges were zeroed one at a time in earlier rounds (§III-B2) — and,
@@ -224,11 +145,8 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 		// into it. Slacks beyond the band drop out.
 		essential := func(eid int32) bool { return w[eid] < opts.Margin+eps }
 
-		fsp := rec.StartSpan(obs.SpanRoundForest).WithReq(req)
+		fsp := run.Span(obs.SpanRoundForest)
 		forest, cyc := g.BuildForest(w, essential, math.Inf(1))
-
-		st := IterStats{Round: round, NewEdges: newEdges}
-
 		if cyc == nil {
 			// Arborescence construction only notices a cycle when its edges
 			// chain up in attachment order; a rotating violation can keep a
@@ -241,51 +159,7 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 		fsp.End()
 
 		if cyc != nil {
-			// §III-B2: the cycle bounds the achievable improvement at its
-			// mean weight. Assign l_v = β(v)·T − α(v) along the cycle
-			// (shifted so the minimum is zero) and freeze its vertices.
-			res.Cycles++
-			st.CycleLen = len(cyc.Vertices)
-			tMean := cyc.MeanWeight(w)
-			fix := CycleFix{
-				Cells: make([]netlist.CellID, len(cyc.Vertices)),
-				Edges: make([]timing.SeqEdge, len(cyc.Edges)),
-				Mean:  tMean,
-			}
-			for i, v := range cyc.Vertices {
-				fix.Cells[i] = g.Cells[v]
-			}
-			for i, eid := range cyc.Edges {
-				fix.Edges[i] = g.Edges[eid].Seq
-			}
-			res.CycleFixes = append(res.CycleFixes, fix)
-			lat := make([]float64, len(cyc.Vertices))
-			alpha := 0.0
-			minL := 0.0
-			for i := range cyc.Vertices {
-				lat[i] = float64(i)*tMean - alpha
-				if i < len(cyc.Edges) {
-					alpha += w[cyc.Edges[i]]
-				}
-				if lat[i] < minL {
-					minL = lat[i]
-				}
-			}
-			for i, v := range cyc.Vertices {
-				l := lat[i] - minL
-				g.Freeze(v)
-				if l > eps && !g.IsPort[v] {
-					cell := g.Cells[v]
-					tm.AddExtraLatency(cell, l)
-					res.Target[cell] += l
-					st.Raised++
-					if l > st.MaxInc {
-						st.MaxInc = l
-					}
-				}
-			}
-			st.TimerPins = tm.Update()
-			st.WNS, st.TNS = tm.WNSTNS(opts.Mode)
+			mean := FreezeCycle(run, w, cyc, &st)
 			res.PerIter = append(res.PerIter, st)
 			res.Rounds = round + 1
 			// Cycle rounds refresh the stall baseline: the Eq-9 equalization
@@ -294,15 +168,15 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 			// freezing a cycle is structural progress, so the round neither
 			// counts toward nor triggers the guard.
 			stall.ObserveCycle(st.TNS)
-			rec.Instant("css.cycle_frozen", "len", int64(st.CycleLen))
-			emitRound(st, stall.Count())
-			logf("css[%v] round %d: cycle of %d frozen (mean %.3f) wns=%.2f tns=%.2f pins=%d",
-				opts.Mode, round, st.CycleLen, tMean, st.WNS, st.TNS, st.TimerPins)
+			run.Rec.Instant("css.cycle_frozen", "len", int64(st.CycleLen))
+			run.Round(st, stall.Count())
+			run.Logf(" round %d: cycle of %d frozen (mean %.3f) wns=%.2f tns=%.2f pins=%d",
+				round, st.CycleLen, mean, st.WNS, st.TNS, st.TimerPins)
 			roundSp.EndArg2("round", int64(round), "cycle_len", int64(st.CycleLen))
 			continue
 		}
 
-		psp := rec.StartSpan(obs.SpanRoundPasses).WithReq(req)
+		psp := run.Span(obs.SpanRoundPasses)
 		head := HeadroomFunc(tm, g, opts, res.Target)
 		lmax := PassOne(g, forest, w, essential, head)
 		inc, capped := PassTwo(g, w, essential, lmax)
@@ -313,78 +187,114 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 		}
 		psp.End()
 
-		// Apply increments.
-		maxInc := 0.0
-		for v, l := range inc {
-			if l <= eps || g.Frozen[v] || g.IsPort[v] {
-				continue
-			}
-			cell := g.Cells[seqgraph.VertexID(v)]
-			tm.AddExtraLatency(cell, l)
-			res.Target[cell] += l
-			st.Raised++
-			if l > maxInc {
-				maxInc = l
-			}
-		}
-		st.MaxInc = maxInc
-		st.TimerPins = tm.Update()
-		st.WNS, st.TNS = tm.WNSTNS(opts.Mode)
+		Raise(run, inc, &st)
 		res.PerIter = append(res.PerIter, st)
 		res.Rounds = round + 1
 
 		gain, stalled := stall.Observe(st.TNS)
-		emitRound(st, stall.Count())
-		logf("css[%v] round %d: wns=%.2f tns=%.2f edges+%d raised=%d clamped=%d maxInc=%.3f pins=%d gain=%.3f stall=%d/%d",
-			opts.Mode, round, st.WNS, st.TNS, st.NewEdges, st.Raised, st.Clamped,
+		run.Round(st, stall.Count())
+		run.Logf(" round %d: wns=%.2f tns=%.2f edges+%d raised=%d clamped=%d maxInc=%.3f pins=%d gain=%.3f stall=%d/%d",
+			round, st.WNS, st.TNS, st.NewEdges, st.Raised, st.Clamped,
 			st.MaxInc, st.TimerPins, gain, stall.Count(), opts.StallRounds)
 		roundSp.EndArg2("round", int64(round), "raised", int64(st.Raised))
 		if stalled {
-			res.StopReason = sched.StopStalled
-			logf("css[%v] stall guard: %d consecutive rounds with TNS gain < max(1, 0.01%%·|TNS|) — stopping at round %d (StallRounds=%d)",
-				opts.Mode, stall.Count(), round, opts.StallRounds)
+			run.Stall(stall.Count(), round)
 			break
 		}
 
-		if maxInc <= eps {
+		if st.MaxInc <= eps {
 			// Alg 1 line 13: no vertex received an increment. Before
 			// terminating, run one forced extraction sweep: an edge may
 			// have newly crossed zero without moving any endpoint's worst
 			// slack (so the "newly violated" filter skipped it).
 			if finalSweepDone {
 				res.StopReason = sched.StopConverged
-				logf("css[%v] converged: no increments after forced sweep — stopping at round %d", opts.Mode, round)
+				run.Logf(" converged: no increments after forced sweep — stopping at round %d", round)
 				break
 			}
 			finalSweepDone = true
 			if extra := extract(true); extra == 0 {
 				res.StopReason = sched.StopConverged
-				logf("css[%v] converged: no increments and no new essential edges — stopping at round %d", opts.Mode, round)
+				run.Logf(" converged: no increments and no new essential edges — stopping at round %d", round)
 				break
 			}
 			// New essential edges appeared: keep iterating.
-			logf("css[%v] forced sweep found new essential edges — continuing", opts.Mode)
+			run.Logf(" forced sweep found new essential edges — continuing")
 			continue
 		}
 		finalSweepDone = false
 	}
-	if res.StopReason.Interrupted() {
-		// A cancellation noticed inside Update/extraction leaves the timer's
-		// worklist partially drained; finish the propagation (hook off) so
-		// Result.Target matches the applied latencies and a further Update
-		// is a no-op — the partial result is a usable anytime answer.
-		tm.SetCheck(nil)
-		tm.Update()
-		logf("css[%v] stopping: %s after round %d — returning consistent partial result",
-			opts.Mode, res.StopReason, res.Rounds)
-	} else if res.StopReason == sched.StopRoundCap {
-		logf("css[%v] stopping: round cap reached (MaxRounds=%d)", opts.Mode, opts.MaxRounds)
-	}
+	return run.Finish(), nil
+}
 
-	res.EdgesExtracted = len(g.Edges)
-	res.Elapsed = time.Since(start)
-	runSp.EndArg2("rounds", int64(res.Rounds), "edges", int64(res.EdgesExtracted))
-	return res, nil
+// Weights evaluates every edge of g under the view's present latencies: the
+// Eq-10 weight update, realized by re-evaluating Eqs 1–2.
+func Weights(tm sched.TimingView, g *seqgraph.Graph) []float64 {
+	w := make([]float64, len(g.Edges))
+	for i := range g.Edges {
+		w[i] = tm.EdgeSlack(g.Edges[i].Seq)
+	}
+	return w
+}
+
+// FreezeCycle is the Eq-9 cycle step (§III-B2). The cycle bounds the
+// achievable improvement at its mean weight, so it assigns
+// l_v = β(v)·T − α(v) along the cycle (shifted so the minimum is zero),
+// records the assignment in the run's CycleFixes, freezes the cycle's
+// vertices and retimes. st gains the round's CycleLen, Raised, MaxInc,
+// TimerPins, WNS and TNS; the return value is the cycle's mean weight.
+func FreezeCycle(run *sched.Run, w []float64, cyc *seqgraph.Cycle, st *IterStats) float64 {
+	g, res := run.Res.Graph, run.Res
+	tMean := cyc.MeanWeight(w)
+	fix := CycleFix{
+		Cells: make([]netlist.CellID, len(cyc.Vertices)),
+		Edges: make([]timing.SeqEdge, len(cyc.Edges)),
+		Mean:  tMean,
+	}
+	for i, v := range cyc.Vertices {
+		fix.Cells[i] = g.Cells[v]
+	}
+	for i, eid := range cyc.Edges {
+		fix.Edges[i] = g.Edges[eid].Seq
+	}
+	res.Cycles++
+	res.CycleFixes = append(res.CycleFixes, fix)
+	lat := make([]float64, len(cyc.Vertices))
+	alpha := 0.0
+	minL := 0.0
+	for i := range cyc.Vertices {
+		lat[i] = float64(i)*tMean - alpha
+		if i < len(cyc.Edges) {
+			alpha += w[cyc.Edges[i]]
+		}
+		if lat[i] < minL {
+			minL = lat[i]
+		}
+	}
+	st.CycleLen = len(cyc.Vertices)
+	for i, v := range cyc.Vertices {
+		g.Freeze(v)
+		if l := lat[i] - minL; l > eps && !g.IsPort[v] {
+			run.Apply(g.Cells[v], l, st)
+		}
+	}
+	run.Retime(st)
+	return tMean
+}
+
+// Raise applies one round's two-pass increments (§III-C3, indexed by
+// vertex): every increment above eps except at frozen vertices and ports.
+// It then retimes; st gains the round's Raised, MaxInc, TimerPins, WNS and
+// TNS.
+func Raise(run *sched.Run, inc []float64, st *IterStats) {
+	g := run.Res.Graph
+	for v, l := range inc {
+		if l <= eps || g.Frozen[v] || g.IsPort[v] {
+			continue
+		}
+		run.Apply(g.Cells[v], l, st)
+	}
+	run.Retime(st)
 }
 
 // activeCycleEdges restricts cycle detection to essential edges between

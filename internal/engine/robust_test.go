@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"iterskew/internal/delay"
+	"iterskew/internal/obs"
 	"iterskew/internal/sched"
 	"iterskew/internal/timing"
 )
@@ -159,20 +160,38 @@ func TestJobTimeoutDeadline(t *testing.T) {
 	}
 }
 
-// TestWorkersDoNotLeakAcrossSessions: a job's run plumbing (its stop hook)
-// must not survive into the next session on the recycled state.
-func TestWorkersDoNotLeakAcrossSessions(t *testing.T) {
+// TestSessionPlumbingDoesNotLeak: the run plumbing a session installs on
+// its state (stop hook, recorder, request ID) must not survive into the
+// next session on the recycled state.
+func TestSessionPlumbingDoesNotLeak(t *testing.T) {
 	d := genDesign(t, 0.004)
 	e, err := New(d, delay.Default(), Config{MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(Job{Options: sched.Options{Mode: timing.Late, Workers: 7}}); err != nil {
+	var first *timing.State
+	if err := e.Session(func(tm *timing.State) error {
+		first = tm
+		tm.SetCheck(func() bool { return false })
+		tm.SetRecorder(obs.NewRecorder())
+		tm.SetReq("req-1")
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Session(func(tm *timing.State) error {
+		if tm != first {
+			t.Error("the second session did not get the recycled state")
+			return nil
+		}
 		if tm.Check() != nil {
 			t.Error("recycled state still carries a stop hook")
+		}
+		if tm.Recorder() != nil {
+			t.Error("recycled state still carries a recorder")
+		}
+		if tm.Req() != "" {
+			t.Errorf("recycled state still carries request ID %q", tm.Req())
 		}
 		return nil
 	}); err != nil {

@@ -13,18 +13,20 @@
 //     violations leave residual negative slack (the nonzero FPM rows of
 //     Table I);
 //   - it performs no physical optimization, so its HPWL impact is nil.
+//
+// It runs inside the shared sched.Run scaffold, but never installs the stop
+// hook: cancellation is checked per launch during extraction only, and the
+// one greedy round is reported once, labelled early whatever Options.Mode
+// holds.
 package fpm
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"iterskew/internal/netlist"
 	"iterskew/internal/obs"
 	"iterskew/internal/sched"
-	"iterskew/internal/seqgraph"
 	"iterskew/internal/timing"
 )
 
@@ -47,62 +49,43 @@ var Scheduler sched.Scheduler = sched.Func(Schedule)
 // predictive skew pass. Latencies are left applied on the timer. Degenerate
 // designs return a *sched.DegenerateInputError, matching core and iccss.
 func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
-	start := time.Now()
-	if err := sched.ValidateTimer(tm); err != nil {
+	// FPM fixes hold violations by construction, and past extraction it
+	// commits, so no stop hook may cut its final Update short.
+	opts.Mode = timing.Early
+	run, err := sched.Begin(tm, &opts, sched.Algo{Name: "fpm", Tag: "fpm"})
+	if err != nil {
 		return nil, err
 	}
-	rec := opts.Recorder
-	if rec == nil {
-		rec = tm.Recorder()
-	}
-	req := obs.RequestID(opts.Context)
-	runSp := rec.StartSpan(obs.SpanSchedule).WithReq(req)
-	logf := func(format string, args ...any) {
-		if opts.Log != nil {
-			fmt.Fprintf(opts.Log, format+"\n", args...)
-		}
-	}
 	d := tm.Design()
-	g := seqgraph.New()
-	isPort := func(c netlist.CellID) bool {
-		k := d.Cells[c].Type.Kind
-		return k == netlist.KindPortIn || k == netlist.KindPortOut
-	}
-	res := &Result{Target: map[netlist.CellID]float64{}, Graph: g}
+	res, g, rec := run.Res, run.Res.Graph, run.Rec
 
 	// Full sequential graph extraction: every early edge of the design. This
 	// up-front O(n·m') sweep dominates FPM's runtime, so cancellation is
 	// checked per launch here; past it the run commits (one greedy pass and
 	// a single apply+Update), so the commit is never interrupted.
-	cc := opts.Canceller()
 	esp := rec.NamedSpan("fpm.full_extract")
 	var edgeBuf []timing.SeqEdge
 	var launches []netlist.CellID
 	launches = append(launches, d.FFs...)
 	launches = append(launches, d.InPorts...)
 	for _, u := range launches {
-		if r, stop := cc.Reason(); stop {
-			res.StopReason = r
+		if run.Interrupted() {
 			break
 		}
 		edgeBuf = tm.ExtractAllFrom(u, timing.Early, edgeBuf[:0])
-		for _, se := range edgeBuf {
-			g.AddSeqEdge(se, isPort)
-		}
+		run.AddEdges(edgeBuf)
 	}
-	res.EdgesExtracted = len(g.Edges)
-	rec.Add(obs.CtrRoundEdges, int64(len(g.Edges)))
 	esp.EndArg2("launches", int64(len(launches)), "edges", int64(len(g.Edges)))
 	if res.StopReason.Interrupted() {
 		// Nothing has been applied to the timer yet, so the empty Target is
-		// trivially consistent.
-		logf("fpm[early] stopping: %s during full-graph extraction (%d edges so far) — nothing applied",
-			res.StopReason, res.EdgesExtracted)
-		res.Elapsed = time.Since(start)
-		runSp.EndArg("edges", int64(res.EdgesExtracted))
-		return res, nil
+		// trivially consistent. No round is reported, so the edges extracted
+		// so far are credited here.
+		rec.Add(obs.CtrRoundEdges, int64(len(g.Edges)))
+		run.Logf(" stopping: %s during full-graph extraction (%d edges so far) — nothing applied",
+			res.StopReason, len(g.Edges))
+		return run.Finish(), nil
 	}
-	logf("fpm[early]: full sequential graph extracted: %d edges from %d launches",
+	run.Logf(": full sequential graph extracted: %d edges from %d launches",
 		len(g.Edges), len(launches))
 	gsp := rec.NamedSpan("fpm.greedy")
 
@@ -169,56 +152,23 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 		}
 	}
 
-	raised := 0
-	maxInc := 0.0
+	st := sched.IterStats{NewEdges: len(g.Edges)}
 	for cell, l := range assigned {
-		if l <= eps {
+		if l <= eps || math.IsInf(l, 0) || math.IsNaN(l) {
 			continue
 		}
-		if math.IsInf(l, 0) || math.IsNaN(l) {
-			continue
-		}
-		tm.AddExtraLatency(cell, l)
-		res.Target[cell] = l
-		raised++
-		if l > maxInc {
-			maxInc = l
-		}
+		run.Apply(cell, l, &st)
 	}
-	pins := tm.Update()
-	rec.Add(obs.CtrRaised, int64(raised))
-	gsp.EndArg2("violations", int64(len(cands)), "raised", int64(raised))
+	st.TimerPins = tm.Update()
+	gsp.EndArg2("violations", int64(len(cands)), "raised", int64(st.Raised))
 
-	// The one-shot pass is the run's single "round": fire the shared
-	// per-round observability exactly once. The WNS/TNS sweep only runs when
-	// someone is listening, so bare runs stay on the old code path.
+	// The one-shot pass is the run's single "round": report it exactly
+	// once. The WNS/TNS sweep runs only when someone is listening.
 	if rec != nil || opts.Progress != nil || opts.Log != nil {
-		wns, tns := tm.WNSTNS(timing.Early)
-		st := sched.IterStats{
-			Round: 0, WNS: wns, TNS: tns, NewEdges: len(g.Edges),
-			Raised: raised, MaxInc: maxInc, TimerPins: pins,
-		}
-		if rec != nil {
-			// CtrRoundEdges was already credited by the extraction sweep.
-			rec.Add(obs.CtrRounds, 1)
-			rec.SetGauge(obs.GaugeGraphVerts, int64(g.NumVertices()))
-			rec.SetGauge(obs.GaugeGraphEdges, int64(len(g.Edges)))
-			rec.Emit(obs.Event{
-				Type: "round", Req: req, Algo: "fpm", Mode: timing.Early.String(),
-				Round: 0, WNS: wns, TNS: tns, NewEdges: len(g.Edges),
-				Raised: raised, MaxInc: maxInc, TimerPins: pins,
-				ElapsedMS: float64(time.Since(start).Nanoseconds()) / 1e6,
-				Corners:   sched.CornerStats(tm, timing.Early),
-			})
-		}
-		if opts.Progress != nil {
-			opts.Progress(st)
-		}
-		logf("fpm[early] converged: one-shot greedy pass over %d violating edges raised %d launches (maxInc=%.3f) wns=%.2f tns=%.2f pins=%d",
-			len(cands), raised, maxInc, wns, tns, pins)
+		st.WNS, st.TNS = tm.WNSTNS(timing.Early)
+		run.Round(st, 0)
+		run.Logf(" converged: one-shot greedy pass over %d violating edges raised %d launches (maxInc=%.3f) wns=%.2f tns=%.2f pins=%d",
+			len(cands), st.Raised, st.MaxInc, st.WNS, st.TNS, st.TimerPins)
 	}
-
-	res.Elapsed = time.Since(start)
-	runSp.EndArg("edges", int64(res.EdgesExtracted))
-	return res, nil
+	return run.Finish(), nil
 }

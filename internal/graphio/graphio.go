@@ -119,9 +119,6 @@ const (
 	secSnapBaseLat
 	secSnapDIn
 	secStats
-
-	secFirst = secMeta
-	secLast  = secStats
 )
 
 // metaLen is the secMeta payload: six u64 counts + four f64 model params.

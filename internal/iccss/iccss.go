@@ -13,15 +13,17 @@
 //     (§III-E ii), because IC-CSS tracks the bound through extracted edges
 //     rather than timer propagation;
 //   - cycle handling and the latency calculation itself are replaced with
-//     the paper's §III-B2 / §III-C3 machinery (§III-E i, iii), so IC-CSS+
-//     reaches the same schedule quality as the core algorithm — it just
-//     pays an order of magnitude more extraction work to get there.
+//     the paper's §III-B2 / §III-C3 machinery (§III-E i, iii) — core's own
+//     FreezeCycle, PassOne, PassTwo and Raise — so IC-CSS+ reaches the same
+//     schedule quality as the core algorithm; it just pays an order of
+//     magnitude more extraction work to get there.
+//
+// The run around the algorithm (validation, defaults, recorder, stop hook,
+// round reports, the closing drain) is the shared sched.Run.
 package iccss
 
 import (
-	"fmt"
 	"math"
-	"time"
 
 	"iterskew/internal/core"
 	"iterskew/internal/netlist"
@@ -50,42 +52,14 @@ var Scheduler sched.Scheduler = sched.Func(Schedule)
 // Schedule runs IC-CSS+ on the timer's design. Like core.Schedule it leaves
 // the computed latencies applied as predictive latencies, and like
 // core.Schedule it rejects degenerate designs with a
-// *core.DegenerateInputError.
+// *sched.DegenerateInputError.
 func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
-	start := time.Now()
-	if err := sched.ValidateTimer(tm); err != nil {
+	run, err := sched.Begin(tm, &opts, sched.Algo{Name: "iccss", Tag: "iccss", Hook: true})
+	if err != nil {
 		return nil, err
 	}
-	if opts.MaxRounds == 0 {
-		opts.MaxRounds = 200
-	}
-	rec := opts.Recorder
-	if rec == nil {
-		rec = tm.Recorder()
-	}
-	req := obs.RequestID(opts.Context)
-	runSp := rec.StartSpan(obs.SpanSchedule).WithReq(req)
-	// Cooperative cancellation, with the same save/restore discipline as
-	// core.Schedule: the stop hook never leaks past the run.
-	cc := opts.Canceller()
-	if cc.Active() {
-		prevCheck := tm.Check()
-		tm.SetCheck(cc.Stop)
-		defer tm.SetCheck(prevCheck)
-	}
-	logf := func(format string, args ...any) {
-		if opts.Log != nil {
-			fmt.Fprintf(opts.Log, format+"\n", args...)
-		}
-	}
 	d := tm.Design()
-	g := seqgraph.New()
-	isPort := func(c netlist.CellID) bool {
-		k := d.Cells[c].Type.Kind
-		return k == netlist.KindPortIn || k == netlist.KindPortOut
-	}
-
-	res := &Result{Target: map[netlist.CellID]float64{}, Graph: g}
+	res, g, rec := run.Res, run.Res.Graph, run.Rec
 
 	// Sequential vertices: flip-flops plus input ports (late launches) or
 	// all endpoints (early captures).
@@ -198,13 +172,7 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 		}
 		res.CriticalVerts += len(critBuf)
 		rec.Add(obs.CtrCriticalVerts, int64(len(critBuf)))
-		added := 0
-		for _, se := range edgeBuf {
-			if _, isNew := g.AddSeqEdge(se, isPort); isNew {
-				added++
-			}
-		}
-		return added
+		return run.AddEdges(edgeBuf)
 	}
 
 	// extractConstraints pulls in the opposite-type edges bounding a vertex
@@ -220,7 +188,6 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 		constraintDone[cell] = true
 		res.ConstraintExts++
 		rec.Add(obs.CtrConstraintExts, 1)
-		added := 0
 		if opp == timing.Early {
 			// Bound on a capture raise: early edges ending at the vertex.
 			edgeBuf = tm.ExtractAllInto(cell, timing.Early, edgeBuf[:0])
@@ -228,12 +195,7 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 			// Bound on a launch raise: late edges launched by the vertex.
 			edgeBuf = tm.ExtractAllFrom(cell, timing.Late, edgeBuf[:0])
 		}
-		for _, se := range edgeBuf {
-			if _, isNew := g.AddSeqEdge(se, isPort); isNew {
-				added++
-			}
-		}
-		return added
+		return run.AddEdges(edgeBuf)
 	}
 
 	// headroom derives the ŝ bound without timer propagation (that is the
@@ -277,116 +239,36 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 		return h
 	}
 
-	// emitRound folds one finished round into the recorder (counters, JSONL
-	// event, live gauges) and fires the Progress callback — same contract as
-	// core's emitRound: the recorder part no-ops without a recorder, Progress
-	// works standalone, and neither allocates when absent.
-	emitRound := func(st sched.IterStats, stallCount int) {
-		if rec != nil {
-			rec.Add(obs.CtrRounds, 1)
-			rec.Add(obs.CtrRoundEdges, int64(st.NewEdges))
-			rec.Add(obs.CtrRaised, int64(st.Raised))
-			if st.CycleLen > 0 {
-				rec.Add(obs.CtrCyclesFrozen, 1)
-			}
-			rec.SetGauge(obs.GaugeGraphVerts, int64(g.NumVertices()))
-			rec.SetGauge(obs.GaugeGraphEdges, int64(len(g.Edges)))
-			rec.Emit(obs.Event{
-				Type: "round", Req: req, Algo: "iccss", Mode: opts.Mode.String(),
-				Round: st.Round, WNS: st.WNS, TNS: st.TNS,
-				NewEdges: st.NewEdges, Raised: st.Raised, CycleLen: st.CycleLen,
-				MaxInc: st.MaxInc, TimerPins: st.TimerPins, Stall: stallCount,
-				ElapsedMS: float64(time.Since(start).Nanoseconds()) / 1e6,
-				Corners:   sched.CornerStats(tm, opts.Mode),
-			})
-		}
-		if opts.Progress != nil {
-			opts.Progress(st)
-		}
-	}
-
 	// The shared stall guard (Options.StallRounds): IC-CSS+'s conservative
 	// Eq-8 criticality can leave it crawling by epsilon-sized increments for
 	// many rounds; the guard turns that into an explainable StopStalled.
-	if opts.StallRounds == 0 {
-		opts.StallRounds = 3
-	}
 	_, prevTNS := tm.WNSTNS(opts.Mode)
 	stall := sched.NewStallTracker(opts.StallRounds, prevTNS)
 
 	res.StopReason = sched.StopRoundCap
 	for round := 0; round < opts.MaxRounds; round++ {
-		if r, stop := cc.Reason(); stop {
-			res.StopReason = r
+		if run.Interrupted() {
 			break
 		}
-		roundSp := rec.StartSpan(obs.SpanRound).WithReq(req)
-		newEdges := extractCritical()
+		roundSp := run.Span(obs.SpanRound)
+		st := sched.IterStats{Round: round, NewEdges: extractCritical()}
 
-		w := make([]float64, len(g.Edges))
-		for i := range g.Edges {
-			w[i] = tm.EdgeSlack(g.Edges[i].Seq)
-		}
+		w := core.Weights(tm, g)
 		include := func(eid int32) bool {
 			return g.Edges[eid].Seq.Mode == opts.Mode && w[eid] < eps
 		}
 
 		forest, cyc := g.BuildForest(w, include, math.Inf(1))
 		if cyc != nil {
-			res.Cycles++
-			tMean := cyc.MeanWeight(w)
-			fix := core.CycleFix{
-				Cells: make([]netlist.CellID, len(cyc.Vertices)),
-				Edges: make([]timing.SeqEdge, len(cyc.Edges)),
-				Mean:  tMean,
-			}
-			for i, v := range cyc.Vertices {
-				fix.Cells[i] = g.Cells[v]
-			}
-			for i, eid := range cyc.Edges {
-				fix.Edges[i] = g.Edges[eid].Seq
-			}
-			res.CycleFixes = append(res.CycleFixes, fix)
-			alpha := 0.0
-			minL := 0.0
-			lat := make([]float64, len(cyc.Vertices))
-			for i := range cyc.Vertices {
-				lat[i] = float64(i)*tMean - alpha
-				if i < len(cyc.Edges) {
-					alpha += w[cyc.Edges[i]]
-				}
-				if lat[i] < minL {
-					minL = lat[i]
-				}
-			}
-			raised := 0
-			maxInc := 0.0
-			for i, v := range cyc.Vertices {
-				g.Freeze(v)
-				if l := lat[i] - minL; l > eps && !g.IsPort[v] {
-					cell := g.Cells[v]
-					tm.AddExtraLatency(cell, l)
-					res.Target[cell] += l
-					raised++
-					if l > maxInc {
-						maxInc = l
-					}
-				}
-			}
-			pins := tm.Update()
+			mean := core.FreezeCycle(run, w, cyc, &st)
 			res.Rounds = round + 1
-			wns, tns := tm.WNSTNS(opts.Mode)
 			// Cycle rounds refresh the stall baseline but never count toward
 			// the guard (see sched.StallTracker).
-			stall.ObserveCycle(tns)
-			emitRound(sched.IterStats{
-				Round: round, WNS: wns, TNS: tns, NewEdges: newEdges,
-				Raised: raised, CycleLen: len(cyc.Vertices), MaxInc: maxInc,
-				TimerPins: pins,
-			}, stall.Count())
-			logf("iccss[%v] round %d: cycle of %d frozen (mean %.3f) wns=%.2f tns=%.2f pins=%d",
-				opts.Mode, round, len(cyc.Vertices), tMean, wns, tns, pins)
-			roundSp.EndArg2("round", int64(round), "cycle_len", int64(len(cyc.Vertices)))
+			stall.ObserveCycle(st.TNS)
+			run.Round(st, stall.Count())
+			run.Logf(" round %d: cycle of %d frozen (mean %.3f) wns=%.2f tns=%.2f pins=%d",
+				round, st.CycleLen, mean, st.WNS, st.TNS, st.TimerPins)
+			roundSp.EndArg2("round", int64(round), "cycle_len", int64(st.CycleLen))
 			continue
 		}
 
@@ -412,10 +294,7 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 			}
 			// Refresh weights and structures for the newly added edges and
 			// vertices.
-			w = make([]float64, len(g.Edges))
-			for i := range g.Edges {
-				w[i] = tm.EdgeSlack(g.Edges[i].Seq)
-			}
+			w = core.Weights(tm, g)
 			var cyc2 *seqgraph.Cycle
 			forest, cyc2 = g.BuildForest(w, include, math.Inf(1))
 			if cyc2 != nil {
@@ -426,58 +305,23 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 			}
 		}
 
-		maxInc := 0.0
-		raised := 0
-		for v, l := range inc {
-			if l <= eps || g.Frozen[v] || g.IsPort[v] {
-				continue
-			}
-			cell := g.Cells[seqgraph.VertexID(v)]
-			tm.AddExtraLatency(cell, l)
-			res.Target[cell] += l
-			raised++
-			if l > maxInc {
-				maxInc = l
-			}
-		}
-		pins := tm.Update()
+		core.Raise(run, inc, &st)
 		res.Rounds = round + 1
-		wns, tns := tm.WNSTNS(opts.Mode)
-		gain, stalled := stall.Observe(tns)
-		emitRound(sched.IterStats{
-			Round: round, WNS: wns, TNS: tns, NewEdges: newEdges,
-			Raised: raised, MaxInc: maxInc, TimerPins: pins,
-		}, stall.Count())
-		logf("iccss[%v] round %d: wns=%.2f tns=%.2f edges+%d raised=%d maxInc=%.3f pins=%d gain=%.3f stall=%d/%d",
-			opts.Mode, round, wns, tns, newEdges, raised, maxInc, pins, gain, stall.Count(), opts.StallRounds)
-		roundSp.EndArg2("round", int64(round), "raised", int64(raised))
+		gain, stalled := stall.Observe(st.TNS)
+		run.Round(st, stall.Count())
+		run.Logf(" round %d: wns=%.2f tns=%.2f edges+%d raised=%d maxInc=%.3f pins=%d gain=%.3f stall=%d/%d",
+			round, st.WNS, st.TNS, st.NewEdges, st.Raised, st.MaxInc, st.TimerPins, gain, stall.Count(), opts.StallRounds)
+		roundSp.EndArg2("round", int64(round), "raised", int64(st.Raised))
 
-		if maxInc <= eps && newEdges == 0 && constraintAdded == 0 {
+		if st.MaxInc <= eps && st.NewEdges == 0 && constraintAdded == 0 {
 			res.StopReason = sched.StopConverged
-			logf("iccss[%v] converged: no increments, no new critical or constraint edges — stopping at round %d",
-				opts.Mode, round)
+			run.Logf(" converged: no increments, no new critical or constraint edges — stopping at round %d", round)
 			break
 		}
 		if stalled {
-			res.StopReason = sched.StopStalled
-			logf("iccss[%v] stall guard: %d consecutive rounds with TNS gain < max(1, 0.01%%·|TNS|) — stopping at round %d (StallRounds=%d)",
-				opts.Mode, stall.Count(), round, opts.StallRounds)
+			run.Stall(stall.Count(), round)
 			break
 		}
 	}
-	if res.StopReason.Interrupted() {
-		// Drain any propagation the abort hook cut short so the partial
-		// Target matches the timer state (see core.Schedule).
-		tm.SetCheck(nil)
-		tm.Update()
-		logf("iccss[%v] stopping: %s after round %d — returning consistent partial result",
-			opts.Mode, res.StopReason, res.Rounds)
-	} else if res.StopReason == sched.StopRoundCap {
-		logf("iccss[%v] stopping: round cap reached (MaxRounds=%d)", opts.Mode, opts.MaxRounds)
-	}
-
-	res.EdgesExtracted = len(g.Edges)
-	res.Elapsed = time.Since(start)
-	runSp.EndArg2("rounds", int64(res.Rounds), "edges", int64(res.EdgesExtracted))
-	return res, nil
+	return run.Finish(), nil
 }

@@ -308,8 +308,12 @@ func (d *Design) LCBOut(lcb CellID) PinID { return d.Cells[lcb].Pins[LCBPinOut] 
 // points; pin offsets are below the resolution of the delay model).
 func (d *Design) PinPos(p PinID) geom.Point { return d.Cells[d.Pins[p].Cell].Pos }
 
-// FFofClockPin returns the flip-flop owning the given CK pin.
-func (d *Design) FFofClockPin(p PinID) CellID { return d.Pins[p].Cell }
+// IsPort reports whether cell c is an I/O port, which the sequential graph
+// treats as a supernode.
+func (d *Design) IsPort(c CellID) bool {
+	k := d.Cells[c].Type.Kind
+	return k == KindPortIn || k == KindPortOut
+}
 
 // LCBofFF returns the LCB currently driving the flip-flop's clock pin, or
 // NoCell if the clock pin is unconnected.

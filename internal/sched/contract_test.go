@@ -1,8 +1,12 @@
 package sched_test
 
 import (
+	"context"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"iterskew/internal/bench"
 	"iterskew/internal/core"
@@ -165,5 +169,106 @@ func TestNilHooksAllocationFree(t *testing.T) {
 					hooked-bare, bare, hooked)
 			}
 		})
+	}
+}
+
+// countdownCtx is a context whose Err reports Canceled from its n-th call
+// on. The stop hook probes Err between Update's level buckets and per
+// extraction root, so the cancellation lands inside timer work, not only at
+// a round boundary.
+type countdownCtx struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancellationContract verifies the Context/Deadline part of the
+// contract at Workers: 2, so batch-extraction goroutines probe the stop
+// hook. However the run is stopped — a context cancelled or a deadline
+// passed before it starts, a cancel from Progress at round 1, or one that
+// lands inside an Update or extraction batch — it returns a consistent
+// partial result: every flip-flop's applied latency equals its Target and a
+// following Update visits no pin. A run stopped before it starts applies
+// nothing. The hook the caller installed before Schedule is the one
+// installed after it.
+func TestCancellationContract(t *testing.T) {
+	d := contractDesign(t, 0.005, 0)
+	type cancelCase struct {
+		name     string
+		iterOnly bool // needs a second round
+		want     sched.StopReason
+		set      func(*sched.Options)
+	}
+	cases := []cancelCase{
+		{name: "precancelled", want: sched.StopCancelled, set: func(o *sched.Options) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			o.Context = ctx
+		}},
+		{name: "expired", want: sched.StopDeadline, set: func(o *sched.Options) {
+			o.Deadline = time.Now().Add(-time.Second)
+		}},
+		{name: "round1", iterOnly: true, want: sched.StopCancelled, set: func(o *sched.Options) {
+			ctx, cancel := context.WithCancel(context.Background())
+			o.Context = ctx
+			o.Progress = func(st sched.IterStats) {
+				if st.Round >= 1 {
+					cancel()
+				}
+			}
+		}},
+	}
+	for _, n := range []int64{10, 30, 60, 150, 250} {
+		cases = append(cases, cancelCase{name: fmt.Sprintf("probe%d", n), want: sched.StopCancelled, set: func(o *sched.Options) {
+			ctx := &countdownCtx{Context: context.Background()}
+			ctx.n.Store(n)
+			o.Context = ctx
+		}})
+	}
+	for _, tc := range schedulers {
+		for _, c := range cases {
+			if c.iterOnly && tc.oneShot {
+				continue
+			}
+			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
+				tm := contractTimer(t, d.Clone())
+				var probes atomic.Int64
+				tm.SetCheck(func() bool { probes.Add(1); return false })
+				opts := sched.Options{Mode: tc.mode, Workers: 2, StallRounds: -1}
+				c.set(&opts)
+				res, err := tc.s.Schedule(tm, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				if res.StopReason != c.want {
+					t.Fatalf("StopReason = %v after %d rounds, want %v", res.StopReason, res.Rounds, c.want)
+				}
+				if (c.name == "precancelled" || c.name == "expired") && (res.Rounds != 0 || len(res.Target) != 0) {
+					t.Errorf("run stopped before it began applied latencies: rounds=%d targets=%d", res.Rounds, len(res.Target))
+				}
+				if c.name == "round1" && res.Rounds != 2 {
+					t.Errorf("cancelled at round 1 but ran %d rounds", res.Rounds)
+				}
+				before := probes.Load()
+				if hook := tm.Check(); hook == nil || hook() || probes.Load() != before+1 {
+					t.Error("the caller's hook is not the installed one after Schedule")
+				}
+				for _, ff := range d.FFs {
+					if got, want := tm.ExtraLatency(ff), res.Target[ff]; got != want {
+						t.Errorf("ff %d: applied latency %v != Target %v", ff, got, want)
+					}
+				}
+				if n := tm.Update(); n != 0 {
+					t.Errorf("Update after the cancelled run visited %d pins, want 0", n)
+				}
+			})
+		}
 	}
 }

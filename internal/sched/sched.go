@@ -1,7 +1,9 @@
 // Package sched holds the scheduler contract shared by the three clock skew
 // scheduling implementations (core, iccss, fpm): one Options shape, one
 // Result shape, the degenerate-input validation they all perform on entry,
-// and the Scheduler interface the engine dispatches on.
+// the Scheduler interface the engine dispatches on, and Run, the scaffold
+// every Schedule call runs in (defaults, recorder, stop hook, round reports
+// and the closing drain).
 //
 // The concrete packages alias these types (e.g. core.Options = sched.Options)
 // so every historical call site keeps compiling while all three schedulers
@@ -250,54 +252,6 @@ func (r StopReason) Interrupted() bool {
 	return r == StopCancelled || r == StopDeadline
 }
 
-// Canceller resolves an Options' Context/Deadline pair into a cheap stop
-// probe. The zero value (no context, no deadline) never stops. Stop is safe
-// for concurrent use — the timer's batch-extraction workers call it — and is
-// what the schedulers install as the timer's amortized check hook
-// (timing.State.SetCheck).
-type Canceller struct {
-	ctx      context.Context
-	deadline time.Time
-}
-
-// Canceller derives the run's stop probe from Context and Deadline.
-func (o *Options) Canceller() Canceller {
-	return Canceller{ctx: o.Context, deadline: o.Deadline}
-}
-
-// Active reports whether any stop condition is configured at all; inactive
-// cancellers let the schedulers skip hook installation entirely, keeping
-// uncancelled runs byte-identical to the pre-cancellation code path.
-func (c Canceller) Active() bool {
-	return c.ctx != nil || !c.deadline.IsZero()
-}
-
-// Stop reports whether the run should stop now. Safe for concurrent use.
-func (c Canceller) Stop() bool {
-	if c.ctx != nil && c.ctx.Err() != nil {
-		return true
-	}
-	return !c.deadline.IsZero() && time.Now().After(c.deadline)
-}
-
-// Reason returns the StopReason to record if the run should stop now, and
-// whether it should. Context cancellation maps to StopCancelled, a context
-// or Options deadline to StopDeadline.
-func (c Canceller) Reason() (StopReason, bool) {
-	if c.ctx != nil {
-		switch c.ctx.Err() {
-		case context.Canceled:
-			return StopCancelled, true
-		case context.DeadlineExceeded:
-			return StopDeadline, true
-		}
-	}
-	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
-		return StopDeadline, true
-	}
-	return StopConverged, false
-}
-
 // IterStats records one iteration for the Fig-8 style trajectory.
 type IterStats struct {
 	Round     int
@@ -413,8 +367,8 @@ type TimingView interface {
 	Recorder() *obs.Recorder
 }
 
-// CornerView is the optional multi-corner extension of TimingView. The
-// schedulers type-assert for it when emitting round events so streams and
+// CornerView is the optional multi-corner extension of TimingView. The run
+// scaffold type-asserts for it when emitting round events so streams and
 // metrics gain a per-corner WNS/TNS breakdown; single-corner states simply
 // don't implement it.
 type CornerView interface {
@@ -431,9 +385,9 @@ type CornerView interface {
 	UnionDiffRounds() int
 }
 
-// CornerStats snapshots every corner of a view for a round event, or nil if
+// cornerStats snapshots every corner of a view for a round event, or nil if
 // the view is single-corner.
-func CornerStats(tm TimingView, m timing.Mode) []obs.CornerStat {
+func cornerStats(tm TimingView, m timing.Mode) []obs.CornerStat {
 	cv, ok := tm.(CornerView)
 	if !ok {
 		return nil

@@ -43,7 +43,10 @@ func (g *gateSched) Schedule(tm sched.TimingView, opts sched.Options) (*sched.Re
 	case <-g.release:
 		return &sched.Result{StopReason: sched.StopConverged, Target: map[netlist.CellID]float64{}}, nil
 	case <-ctx.Done():
-		reason, _ := opts.Canceller().Reason()
+		reason := sched.StopCancelled
+		if ctx.Err() == context.DeadlineExceeded {
+			reason = sched.StopDeadline
+		}
 		return &sched.Result{StopReason: reason, Target: map[netlist.CellID]float64{}}, nil
 	}
 }

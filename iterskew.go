@@ -246,8 +246,8 @@ type (
 	// GraphHash is the content hash binding a compiled graph artifact to its
 	// netlist + delay model inputs.
 	GraphHash = graphio.Hash
-	// GraphDelta describes a localized netlist edit for RecompileGraph /
-	// Engine.Recompile.
+	// GraphDelta describes a localized netlist edit for
+	// TimingGraph.Recompile / Engine.Recompile.
 	GraphDelta = timing.Delta
 	// RecompileStats reports what a delta recompilation actually did.
 	RecompileStats = timing.RecompileStats
