@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet build test race perfbench bench bench-smoke fuzz-smoke oracle-check obs-smoke engine-smoke cancel-smoke codec-smoke serve-smoke metrics-smoke mcmm-smoke
+.PHONY: ci vet build test race perfbench bench-run bench bench-smoke fuzz-smoke oracle-check obs-smoke engine-smoke cancel-smoke codec-smoke serve-smoke metrics-smoke mcmm-smoke
 
-ci: vet build test race perfbench bench-smoke fuzz-smoke obs-smoke engine-smoke cancel-smoke codec-smoke serve-smoke metrics-smoke mcmm-smoke oracle-check
+ci: vet build test race perfbench bench-run bench-smoke fuzz-smoke obs-smoke engine-smoke cancel-smoke codec-smoke serve-smoke metrics-smoke mcmm-smoke oracle-check
 
 # vet also fails on any tracked Go file that gofmt would rewrite.
 vet:
@@ -36,6 +36,19 @@ race:
 perfbench:
 	$(GO) -C perfbench vet .
 	$(GO) -C perfbench test -short ./...
+
+# The benchmark's own command, one short untraced run per workload: each
+# must exit 0 and print "correct":true on its last line (about 35 s on a
+# 2-vCPU host). It catches what make perfbench cannot, since that replays
+# only the traced pass in short mode, where TestEndToEndOtherSeed skips.
+bench-run:
+	@for w in flow service ingest; do \
+	    out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0) || \
+	        { echo "bench-run: $$w exited non-zero"; echo "$$out"; exit 1; }; \
+	    echo "$$out" | tail -n 1 | grep -q '"correct":true' || \
+	        { echo "bench-run: $$w did not report correct:true"; echo "$$out"; exit 1; }; \
+	    echo "bench-run: $$w ok"; \
+	done
 
 bench:
 	$(GO) test -bench 'ExtractEssentialBatch|IncrementalUpdate|SettledUpdate|CSRPropagation|Optimize' -benchmem .

@@ -397,20 +397,18 @@ func (d *Design) MoveCell(c CellID, pos geom.Point) bool {
 }
 
 // Clone returns a deep copy of the design, so several optimization methods
-// can start from the same input solution.
+// can start from the same input solution. All cells' pin lists share one
+// new array and all nets' sink lists another, so the number of allocations
+// does not grow with the design.
 func (d *Design) Clone() *Design {
 	c := *d
 	c.Cells = make([]Cell, len(d.Cells))
 	copy(c.Cells, d.Cells)
-	for i := range c.Cells {
-		c.Cells[i].Pins = append([]PinID(nil), d.Cells[i].Pins...)
-	}
+	copyLists(c.Cells, func(x *Cell) *[]PinID { return &x.Pins })
 	c.Pins = append([]Pin(nil), d.Pins...)
 	c.Nets = make([]Net, len(d.Nets))
 	copy(c.Nets, d.Nets)
-	for i := range c.Nets {
-		c.Nets[i].Sinks = append([]PinID(nil), d.Nets[i].Sinks...)
-	}
+	copyLists(c.Nets, func(n *Net) *[]PinID { return &n.Sinks })
 	c.FFs = append([]CellID(nil), d.FFs...)
 	c.LCBs = append([]CellID(nil), d.LCBs...)
 	c.InPorts = append([]CellID(nil), d.InPorts...)
@@ -429,6 +427,23 @@ func (d *Design) Clone() *Design {
 		}
 	}
 	return &c
+}
+
+// copyLists points the pin list list(&xs[i]) of every element at a copy in
+// one array shared by all of them. Each copy is capped at its own end, so an
+// append to one list reallocates it instead of overwriting the next.
+func copyLists[T any](xs []T, list func(*T) *[]PinID) {
+	n := 0
+	for i := range xs {
+		n += len(*list(&xs[i]))
+	}
+	flat := make([]PinID, 0, n)
+	for i := range xs {
+		l := list(&xs[i])
+		lo := len(flat)
+		flat = append(flat, *l...)
+		*l = flat[lo:len(flat):len(flat)]
+	}
 }
 
 // SetInputDelay assigns an external arrival offset to an input port.

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -184,6 +185,106 @@ func TestCloneIndependence(t *testing.T) {
 	if d.Cells[ids["g1"]].Pos != d.OrigPos[ids["g1"]] {
 		t.Error("mutating clone moved original cell")
 	}
+
+	// A clone's sink lists share one array. Grow and shrink them on a clone
+	// and on a clone of a clone, empty net included, and compare each with
+	// the same edits on a design built from scratch.
+	src, ids := buildSpares(t)
+	want, _ := buildSpares(t)
+	before := sinksOf(src)
+	c = src.Clone()
+	cc := c.Clone()
+	for _, x := range []*Design{want, c, cc} {
+		editSinks(x, ids)
+	}
+	requireSinks(t, "clone", c, sinksOf(want))
+	requireSinks(t, "clone of a clone", cc, sinksOf(want))
+	requireSinks(t, "source", src, before)
+
+	small, _ := buildTiny(t)
+	large := buildWide(4000)
+	if a, b := testing.AllocsPerRun(5, func() { small.Clone() }), testing.AllocsPerRun(5, func() { large.Clone() }); a != b {
+		t.Errorf("Clone allocates %v times for %d cells but %v times for %d", a, len(small.Cells), b, len(large.Cells))
+	}
+}
+
+// buildSpares is buildTiny plus a flip-flop c whose pins are on no net and
+// an LCB l2 whose output net has no sinks.
+func buildSpares(t *testing.T) (*Design, map[string]CellID) {
+	d, ids := buildTiny(t)
+	lib := StdLib()
+	ids["c"] = d.AddCell("c", lib.Get("DFF"), geom.Pt(600, 0))
+	ids["l2"] = d.AddCell("l2", lib.Get("LCB"), geom.Pt(600, 500))
+	d.AddSink(d.Pins[d.OutPin(ids["root"])].Net, d.LCBIn(ids["l2"]))
+	n := d.Connect("clk_l2", d.LCBOut(ids["l2"]))
+	d.Nets[n].IsClock = true
+	return d, ids
+}
+
+// editSinks grows and shrinks sink lists of a buildSpares design: past
+// their cloned length (n_a, n_g2, the empty clk_l2) and back within it
+// (clk_l1).
+func editSinks(d *Design, ids map[string]CellID) {
+	out := func(name string) NetID { return d.Pins[d.OutPin(ids[name])].Net }
+	a, b, c := ids["a"], ids["b"], ids["c"]
+	d.AddSink(out("a"), d.FFData(c))
+	d.MovePinToNet(d.FFData(c), out("g2"))
+	d.MovePinToNet(d.FFClock(b), out("l2"))
+	d.MovePinToNet(d.FFClock(a), out("l2"))
+	d.MovePinToNet(d.FFClock(a), out("l1"))
+	d.AddSink(out("l1"), d.FFClock(c))
+}
+
+// sinksOf copies every net's sink list.
+func sinksOf(d *Design) [][]PinID {
+	out := make([][]PinID, len(d.Nets))
+	for i := range d.Nets {
+		out[i] = append([]PinID(nil), d.Nets[i].Sinks...)
+	}
+	return out
+}
+
+// requireSinks fails unless every net of d has the sinks in want.
+func requireSinks(t *testing.T, what string, d *Design, want [][]PinID) {
+	t.Helper()
+	got := sinksOf(d)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d nets, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("%s: net %s sinks %v, want %v", what, d.Nets[i].Name, got[i], want[i])
+		}
+	}
+}
+
+// buildWide builds a design of n inverter → flip-flop stages in a chain
+// from an input port to an output port, 50 flip-flops per LCB.
+func buildWide(n int) *Design {
+	lib := StdLib()
+	d := NewDesign("wide", 1000)
+	in := d.AddCell("in", lib.Get("PORTIN"), geom.Pt(0, 0))
+	root := d.AddCell("root", lib.Get("CLKROOT"), geom.Pt(0, 0))
+	var lcbIns, cks []PinID
+	prev := d.OutPin(in)
+	for i := 0; i < n; i++ {
+		g := d.AddCell("g", lib.Get("INV"), geom.Pt(float64(i), 0))
+		ff := d.AddCell("f", lib.Get("DFF"), geom.Pt(float64(i), 1))
+		d.Connect("ng", prev, d.Cells[g].Pins[0])
+		d.Connect("nd", d.OutPin(g), d.FFData(ff))
+		prev = d.FFQ(ff)
+		cks = append(cks, d.FFClock(ff))
+		if len(cks) == 50 || i == n-1 {
+			lcb := d.AddCell("lcb", lib.Get("LCB"), geom.Pt(float64(i), 2))
+			lcbIns = append(lcbIns, d.LCBIn(lcb))
+			d.Connect("cl", d.LCBOut(lcb), cks...)
+			cks = cks[:0]
+		}
+	}
+	out := d.AddCell("out", lib.Get("PORTOUT"), geom.Pt(float64(n), 0))
+	d.Connect("nout", prev, d.Cells[out].Pins[0])
+	d.Connect("cr", d.OutPin(root), lcbIns...)
+	return d
 }
 
 func TestValidateCatchesFanoutViolation(t *testing.T) {

@@ -40,8 +40,22 @@ type MoveResult struct {
 // directions with a growing step; a move is kept when it lengthens the
 // violating path's min arrival and late WNS stays at or above min(0, late
 // WNS before the move): a hold fix never buys a new setup violation nor
-// deepens an existing one.
+// deepens an existing one. A move whose changed late slacks all stay at or
+// above −eps passes that guard without reading it; only a cell with a move
+// that could fail it pays one endpoint scan, at that move's checkpoint
+// (see wnsGuard).
 func MoveCells(tm *timing.State, o MoveOptions) *MoveResult {
+	return moveCells(tm, o, tryMoveCell)
+}
+
+// moveTrial tries the moves of cell c on behalf of violating endpoint e and
+// reports whether one was kept.
+type moveTrial func(tm *timing.State, c netlist.CellID, e timing.EndpointID,
+	dirs []geom.Point, o MoveOptions, res *MoveResult) bool
+
+// moveCells is MoveCells with the per-cell decision as a parameter, so a
+// test can run the same passes over another decision rule.
+func moveCells(tm *timing.State, o MoveOptions, try moveTrial) *MoveResult {
 	start := time.Now()
 	o.defaults()
 	d := tm.D
@@ -74,7 +88,7 @@ func MoveCells(tm *timing.State, o MoveOptions) *MoveResult {
 					continue
 				}
 				seen[c] = true
-				if tryMoveCell(tm, c, e, dirs, o, res) {
+				if try(tm, c, e, dirs, o, res) {
 					improvedAny = true
 					// The paper halts further movement of a cell once it
 					// achieves a longer arrival; and if the endpoint is
@@ -104,8 +118,7 @@ func tryMoveCell(tm *timing.State, c netlist.CellID, e timing.EndpointID,
 	}
 	origin := d.Cells[c].Pos
 	before := tm.EarlySlack(e)
-	// WNSTNS's WNS is at most 0, so this is min(0, late WNS before).
-	guard, _ := tm.WNSTNS(timing.Late)
+	guard := wnsGuard{m: timing.Late}
 
 	for _, frac := range o.StepFractions {
 		step := frac * d.MaxDisp
@@ -118,10 +131,7 @@ func tryMoveCell(tm *timing.State, c netlist.CellID, e timing.EndpointID,
 			tm.DirtyCell(c)
 			tm.Update()
 
-			// Only the endpoints SlackDelta visits changed, and the rest sit
-			// at or above guard: worst ≥ guard−eps ⇔ late WNS ≥ guard−eps.
-			_, worst := tm.SlackDelta(timing.Late)
-			if tm.EarlySlack(e) > before+eps && worst >= guard-eps {
+			if tm.EarlySlack(e) > before+eps && guard.holds(tm) {
 				tm.Commit()
 				res.Moves++
 				return true // halt further movement of this cell (§IV-B)
@@ -132,4 +142,30 @@ func tryMoveCell(tm *timing.State, c netlist.CellID, e timing.EndpointID,
 		}
 	}
 	return false
+}
+
+// wnsGuard decides, for the trials of one cell, whether a trial kept mode
+// m's WNS at or above min(0, WNS at its checkpoint) − eps. Only the
+// endpoints SlackDelta reports changed, and the rest sit at or above that
+// WNS, so the guard holds exactly when the worst changed slack does. A worst
+// of at least −eps passes any floor ≤ 0 (WNSTNS's WNS is at most 0), so the
+// floor is read (CheckpointWNS, an endpoint scan) only for a trial that
+// could fail it, and then once: each trial of the cell starts from the same
+// state.
+type wnsGuard struct {
+	m    timing.Mode
+	wns  float64
+	read bool
+}
+
+// holds reports whether the open trial passes the guard.
+func (g *wnsGuard) holds(tm *timing.State) bool {
+	_, worst := tm.SlackDelta()
+	if worst[g.m] >= -eps {
+		return true
+	}
+	if !g.read {
+		g.wns, g.read = tm.CheckpointWNS(g.m), true
+	}
+	return worst[g.m] >= g.wns-eps
 }

@@ -155,9 +155,8 @@ func Reconnect(tm *timing.State, targets map[netlist.CellID]float64, o Reconnect
 		tm.DirtyCell(bestLCB)
 		tm.Update()
 
-		dE, _ := tm.SlackDelta(timing.Early)
-		dL, _ := tm.SlackDelta(timing.Late)
-		if dE < -eps || dL < -eps {
+		dTNS, _ := tm.SlackDelta()
+		if dTNS[timing.Early] < -eps || dTNS[timing.Late] < -eps {
 			// The schedule said this latency helps, but physically the move
 			// hurt one corner (granularity overshoot, co-FF impact): the
 			// stage discipline of §V — improve one violation type under the

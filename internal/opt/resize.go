@@ -33,6 +33,17 @@ type ResizeResult struct {
 // ResizeCells walks the worst late paths and upsizes their gates while that
 // measurably improves the violating endpoint without hurting hold timing.
 func ResizeCells(tm *timing.State, o ResizeOptions) *ResizeResult {
+	return resizeCells(tm, o, tryUpsize)
+}
+
+// upsizeTrial tries one upsize of cell c on behalf of violating endpoint e
+// and reports whether it was kept.
+type upsizeTrial func(tm *timing.State, c netlist.CellID, e timing.EndpointID,
+	o ResizeOptions, res *ResizeResult) bool
+
+// resizeCells is ResizeCells with the per-cell decision as a parameter, so a
+// test can run the same passes over another decision rule.
+func resizeCells(tm *timing.State, o ResizeOptions, try upsizeTrial) *ResizeResult {
 	start := time.Now()
 	if o.MaxPasses == 0 {
 		o.MaxPasses = 3
@@ -63,7 +74,7 @@ func ResizeCells(tm *timing.State, o ResizeOptions) *ResizeResult {
 					continue
 				}
 				seen[c] = true
-				if tryUpsize(tm, c, e, o, res) {
+				if try(tm, c, e, o, res) {
 					improved = true
 					if tm.LateSlack(e) >= -eps {
 						break
@@ -81,8 +92,9 @@ func ResizeCells(tm *timing.State, o ResizeOptions) *ResizeResult {
 
 // tryUpsize attempts one drive-strength step on a cell as a timer trial: it
 // keeps the swap only if the endpoint's late slack improves and early WNS
-// does not drop below its value before the swap; otherwise it swaps back
-// and rolls the timer back.
+// does not drop below min(0, early WNS before the swap); otherwise it swaps
+// back and rolls the timer back. Like tryMoveCell's, the guard is read,
+// with one endpoint scan, only when a changed early slack falls below −eps.
 func tryUpsize(tm *timing.State, c netlist.CellID, e timing.EndpointID,
 	o ResizeOptions, res *ResizeResult) bool {
 
@@ -93,7 +105,6 @@ func tryUpsize(tm *timing.State, c netlist.CellID, e timing.EndpointID,
 		return false
 	}
 	before := tm.LateSlack(e)
-	earlyBefore, _ := tm.WNSTNS(timing.Early)
 
 	if !d.SwapType(c, next) {
 		return false
@@ -102,10 +113,8 @@ func tryUpsize(tm *timing.State, c netlist.CellID, e timing.EndpointID,
 	tm.DirtyCell(c)
 	tm.Update()
 
-	// Endpoints SlackDelta does not visit kept their slack, which is at or
-	// above earlyBefore: worst ≥ earlyBefore−eps ⇔ early WNS ≥ earlyBefore−eps.
-	_, worst := tm.SlackDelta(timing.Early)
-	if tm.LateSlack(e) > before+eps && worst >= earlyBefore-eps {
+	guard := wnsGuard{m: timing.Early}
+	if tm.LateSlack(e) > before+eps && guard.holds(tm) {
 		tm.Commit()
 		res.Upsized++
 		return true

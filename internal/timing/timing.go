@@ -620,8 +620,8 @@ func feq(a, b float64) bool {
 // returns the number of pins re-evaluated. Required times are not
 // propagated here: Update queues the backward seeds, and they drain at the
 // first LaunchLateSlack or LaunchEarlySlack read. Every other slack query
-// (Slack, WNSTNS, SlackDelta, the extractors) reads only arrivals and
-// latencies, so it is exact right after Update.
+// (Slack, WNSTNS, SlackDelta, CheckpointWNS, the extractors) reads only
+// arrivals and latencies, so it is exact right after Update.
 func (t *State) Update() int {
 	sp := t.rec.StartSpan(obs.SpanTimerUpdate).WithReq(t.req)
 	if t.rec != nil {
@@ -816,27 +816,26 @@ func (t *State) LateSlack(e EndpointID) float64 {
 	return rl - t.atMax[p]
 }
 
-// slackWith is the slack formula of LateSlack/EarlySlack over an explicit
-// capture latency and endpoint-pin arrivals, so SlackDelta can evaluate the
-// values logged before a checkpoint.
-func (t *State) slackWith(e EndpointID, m Mode, lat, atMin, atMax float64) float64 {
+// slackWith is the slack formula of LateSlack and EarlySlack over an
+// explicit capture latency and endpoint-pin arrivals, for both modes at once
+// (indexed by Mode), so SlackDelta and CheckpointWNS can evaluate the values
+// logged before a checkpoint.
+func (t *State) slackWith(e EndpointID, v epTimes) (s [2]float64) {
 	ep := &t.endpoints[e]
 	var rl, re float64
 	if ep.IsPort {
 		rl, re = t.portRequired(ep.Cell)
 	} else {
-		rl, re = t.ffRequired(t.D.Cells[ep.Cell].Type, lat)
+		rl, re = t.ffRequired(t.D.Cells[ep.Cell].Type, v.lat)
 	}
-	if m == Early {
-		if math.IsInf(atMin, 1) {
-			return math.Inf(1)
-		}
-		return atMin - re
+	s[Late], s[Early] = math.Inf(1), math.Inf(1)
+	if !math.IsInf(v.atMax, -1) {
+		s[Late] = rl - v.atMax
 	}
-	if math.IsInf(atMax, -1) {
-		return math.Inf(1)
+	if !math.IsInf(v.atMin, 1) {
+		s[Early] = v.atMin - re
 	}
-	return rl - atMax
+	return s
 }
 
 // EarlySlack returns the hold slack of an endpoint: min arrival − required.

@@ -17,8 +17,11 @@ import (
 // inside evalArrival), and arc delays and clock latencies at their writers;
 // the two-word clock-input cache is saved whole at
 // Checkpoint. Rollback replays the log backwards in O(log length), so a
-// rejected trial costs no second propagation, and SlackDelta reads the same
-// log, so an accept/reject decision never scans every endpoint.
+// rejected trial costs no second propagation. SlackDelta reads the same log
+// in one backward walk and summarizes both modes, and CheckpointWNS combines
+// the log's old values with the untouched endpoints' current slacks into the
+// WNS at Checkpoint, the one read that scans every endpoint; a decision
+// needs it only when SlackDelta's worst changed slack is below −eps.
 //
 // Required times need no log: Update only queues backward seeds, and a
 // required-time read inside a trial panics. Checkpoint records each backward
@@ -42,11 +45,11 @@ type undoLog struct {
 	bwdLen   []int32
 	reqStale bool
 
-	// SlackDelta scratch, indexed by endpoint; mark[e] == epoch means e is
-	// in touched for the current call.
+	// Scratch of touchLogged, indexed by endpoint; mark[e] == epoch means e
+	// is in touched for the current call.
 	mark    []uint32
 	epoch   uint32
-	old     []epOld
+	old     []epTimes
 	touched []EndpointID
 }
 
@@ -65,8 +68,8 @@ type latOld struct {
 	base, extra float64
 }
 
-// epOld is an endpoint's pre-checkpoint capture latency and arrivals.
-type epOld struct {
+// epTimes is an endpoint's capture latency (0 for a port) and arrivals.
+type epTimes struct {
 	lat, atMin, atMax float64
 }
 
@@ -137,24 +140,74 @@ func (t *State) Rollback() {
 }
 
 // SlackDelta summarizes what the open checkpoint did to the endpoint slacks
-// in mode m; call it after the trial's Update. It reads the undo log alone,
-// visiting only the endpoints whose arrival or capture latency was logged,
-// and takes old slacks from the logged values and new ones from the current
-// state. dTNS is Σ(min(new,0) − min(old,0)) — the change in WNSTNS's TNS,
-// summed over fewer terms — and worst is the minimum new slack among the
-// endpoints whose slack changed (+Inf if none). Every other endpoint keeps
-// its slack bit for bit, so "WNS after ≥ g" holds exactly when worst ≥ g,
-// for any g ≤ min(0, WNS before). With no checkpoint open it returns
-// (0, +Inf).
-func (t *State) SlackDelta(m Mode) (dTNS, worst float64) {
+// in both modes, indexed by Mode; call it after the trial's Update. It walks
+// the undo log once, visiting only the endpoints whose arrival or capture
+// latency was logged, and takes old slacks from the logged values and new
+// ones from the current state. dTNS[m] is Σ(min(new,0) − min(old,0)) — the
+// change in WNSTNS(m)'s TNS, summed over fewer terms — and worst[m] is the
+// minimum new slack among the endpoints whose mode-m slack changed (+Inf if
+// none). Every other endpoint keeps its slack bit for bit, so "WNS after ≥
+// g" holds exactly when worst[m] ≥ g, for any g ≤ min(0, WNS before). With
+// no checkpoint open it returns zeros and +Inf.
+func (t *State) SlackDelta() (dTNS, worst [2]float64) {
+	worst = [2]float64{math.Inf(1), math.Inf(1)}
+	if !t.touchLogged() {
+		return dTNS, worst
+	}
 	u := &t.undo
-	worst = math.Inf(1)
+	for _, ep := range u.touched {
+		was := t.slackWith(ep, u.old[ep])
+		now := t.slackWith(ep, t.epNow(ep))
+		for m := range now {
+			if math.Float64bits(was[m]) == math.Float64bits(now[m]) {
+				continue
+			}
+			dTNS[m] += negPart(now[m]) - negPart(was[m])
+			if now[m] < worst[m] {
+				worst[m] = now[m]
+			}
+		}
+	}
+	return dTNS, worst
+}
+
+// CheckpointWNS returns WNSTNS(m)'s WNS as it stood when the open checkpoint
+// was taken, bit for bit: the endpoints the log touched are evaluated from
+// their logged values, every other endpoint from the current state, whose
+// slack has not changed since. Unlike SlackDelta it scans every endpoint,
+// so a trial decision reads it only when SlackDelta's worst alone cannot
+// settle the decision. With no checkpoint open it is WNSTNS(m)'s WNS.
+func (t *State) CheckpointWNS(m Mode) (wns float64) {
+	if !t.touchLogged() {
+		wns, _ = t.WNSTNS(m)
+		return wns
+	}
+	u := &t.undo
+	for e := range t.endpoints {
+		ep := EndpointID(e)
+		v := t.epNow(ep)
+		if u.mark[ep] == u.epoch {
+			v = u.old[ep]
+		}
+		if s := t.slackWith(ep, v)[m]; s < wns {
+			wns = s
+		}
+	}
+	return wns
+}
+
+// touchLogged collects in touched the endpoints whose arrival or capture
+// latency the open checkpoint logged, each with its values at Checkpoint in
+// old, and bumps the epoch that marks them. It reports false, leaving the
+// scratch as it was, when the log holds no such write.
+func (t *State) touchLogged() bool {
+	u := &t.undo
 	if len(u.at) == 0 && len(u.lat) == 0 {
-		return 0, worst
+		return false
 	}
 	if len(u.mark) != len(t.endpoints) {
 		u.mark = make([]uint32, len(t.endpoints))
-		u.old = make([]epOld, len(t.endpoints))
+		u.old = make([]epTimes, len(t.endpoints))
 	}
 	u.epoch++
 	if u.epoch == 0 {
@@ -183,19 +236,7 @@ func (t *State) SlackDelta(m Mode) (dTNS, worst float64) {
 		t.touchEndpoint(ep)
 		u.old[ep].atMin, u.old[ep].atMax = e.lo, e.hi
 	}
-	for _, ep := range u.touched {
-		o := &u.old[ep]
-		was := t.slackWith(ep, m, o.lat, o.atMin, o.atMax)
-		now := t.Slack(ep, m)
-		if math.Float64bits(was) == math.Float64bits(now) {
-			continue
-		}
-		dTNS += negPart(now) - negPart(was)
-		if now < worst {
-			worst = now
-		}
-	}
-	return dTNS, worst
+	return true
 }
 
 // negPart is min(s, 0), counted the way WNSTNS counts a violation.
@@ -206,7 +247,7 @@ func negPart(s float64) float64 {
 	return 0
 }
 
-// touchEndpoint adds ep to the current SlackDelta call's endpoint set,
+// touchEndpoint adds ep to the current touchLogged call's endpoint set,
 // seeding its old values with the current ones.
 func (t *State) touchEndpoint(ep EndpointID) {
 	u := &t.undo
@@ -215,12 +256,17 @@ func (t *State) touchEndpoint(ep EndpointID) {
 	}
 	u.mark[ep] = u.epoch
 	u.touched = append(u.touched, ep)
-	p := t.endpoints[ep].Pin
-	o := &u.old[ep]
-	o.atMin, o.atMax = t.atMin[p], t.atMax[p]
-	if !t.endpoints[ep].IsPort {
-		o.lat = t.Latency(t.endpoints[ep].Cell)
+	u.old[ep] = t.epNow(ep)
+}
+
+// epNow returns an endpoint's current capture latency and arrivals.
+func (t *State) epNow(e EndpointID) epTimes {
+	ep := &t.endpoints[e]
+	v := epTimes{atMin: t.atMin[ep.Pin], atMax: t.atMax[ep.Pin]}
+	if !ep.IsPort {
+		v.lat = t.Latency(ep.Cell)
 	}
+	return v
 }
 
 // logTimes appends the current (lo, hi) of every pin in bucket to dst.

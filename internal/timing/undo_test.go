@@ -138,53 +138,98 @@ func TestRollbackRestoresBitForBit(t *testing.T) {
 	}
 }
 
-// TestSlackDeltaMatchesWNSTNS: SlackDelta's dTNS is WNSTNS's TNS after minus
-// before, and its worst is the minimum slack over exactly the endpoints
-// whose slack bits changed.
+// TestSlackDeltaMatchesWNSTNS: over random trials, some committed and some
+// rolled back, SlackDelta's dTNS in each mode is WNSTNS's TNS after minus
+// before, its worst is the minimum slack over exactly the endpoints whose
+// slack bits changed, and CheckpointWNS is the WNS WNSTNS gave just before
+// Checkpoint, bit for bit, whether read before or after SlackDelta. Every
+// third trial changes nothing, so its log is empty and SlackDelta returns
+// before marking any endpoint, while the previous trial's marks remain.
 func TestSlackDeltaMatchesWNSTNS(t *testing.T) {
 	tm := genTimer(t)
 	tr := newTrialer(tm, 11)
 	modes := []timing.Mode{timing.Late, timing.Early}
 	n := len(tm.Endpoints())
 	var slackBefore [2][]float64
-	var tnsBefore [2]float64
-	for i := 0; i < 45; i++ {
-		for mi, m := range modes {
-			_, tnsBefore[mi] = tm.WNSTNS(m)
-			slackBefore[mi] = slackBefore[mi][:0]
+	var wnsBefore, tnsBefore [2]float64
+	var untouched, raised, emptyAfterChange int
+	prevChanged := false
+	for i := 0; i < 60; i++ {
+		for _, m := range modes {
+			wnsBefore[m], tnsBefore[m] = tm.WNSTNS(m)
+			slackBefore[m] = slackBefore[m][:0]
 			for e := 0; e < n; e++ {
-				slackBefore[mi] = append(slackBefore[mi], tm.Slack(timing.EndpointID(e), m))
+				slackBefore[m] = append(slackBefore[m], tm.Slack(timing.EndpointID(e), m))
 			}
 		}
 		tm.Checkpoint()
-		kind, revert := tr.mutate(t)
+		kind, revert := "empty", func() {}
+		if i%3 != 1 {
+			kind, revert = tr.mutate(t)
+		}
 		tm.Update()
-		for mi, m := range modes {
-			dTNS, worst := tm.SlackDelta(m)
-			_, tnsAfter := tm.WNSTNS(m)
-			if want := tnsAfter - tnsBefore[mi]; math.Abs(dTNS-want) > 1e-6+1e-9*math.Abs(tnsAfter) {
-				t.Errorf("trial %d (%s) %v: dTNS = %v, want %v", i, kind, m, dTNS, want)
+		step := fmt.Sprintf("trial %d (%s)", i, kind)
+		checkWNS := func(when string) {
+			for _, m := range modes {
+				if got := tm.CheckpointWNS(m); math.Float64bits(got) != math.Float64bits(wnsBefore[m]) {
+					t.Errorf("%s %v: CheckpointWNS %s SlackDelta = %v, WNSTNS before Checkpoint = %v", step, m, when, got, wnsBefore[m])
+				}
+			}
+		}
+		if i%2 == 1 {
+			checkWNS("before")
+		}
+		dTNS, worst := tm.SlackDelta()
+		if i%2 == 0 {
+			checkWNS("after")
+		}
+		changed := false
+		for _, m := range modes {
+			wnsAfter, tnsAfter := tm.WNSTNS(m)
+			if want := tnsAfter - tnsBefore[m]; math.Abs(dTNS[m]-want) > 1e-6+1e-9*math.Abs(tnsAfter) {
+				t.Errorf("%s %v: dTNS = %v, want %v", step, m, dTNS[m], want)
 			}
 			wantWorst := math.Inf(1)
 			for e := 0; e < n; e++ {
 				s := tm.Slack(timing.EndpointID(e), m)
-				if math.Float64bits(s) != math.Float64bits(slackBefore[mi][e]) && s < wantWorst {
-					wantWorst = s
+				if math.Float64bits(s) != math.Float64bits(slackBefore[m][e]) {
+					changed = true
+					wantWorst = math.Min(wantWorst, s)
 				}
 			}
-			if math.Float64bits(worst) != math.Float64bits(wantWorst) {
-				t.Errorf("trial %d (%s) %v: worst = %v, want %v", i, kind, m, worst, wantWorst)
+			if math.Float64bits(worst[m]) != math.Float64bits(wantWorst) {
+				t.Errorf("%s %v: worst = %v, want %v", step, m, worst[m], wantWorst)
+			}
+			if wnsAfter > wnsBefore[m] {
+				raised++
 			}
 		}
+		if !changed {
+			untouched++
+			if kind == "empty" && prevChanged {
+				emptyAfterChange++
+			}
+		}
+		prevChanged = changed
 		if tr.rng.Intn(2) == 0 {
 			tm.Commit()
 		} else {
 			revert()
 			tm.Rollback()
 		}
-		if dTNS, worst := tm.SlackDelta(timing.Late); dTNS != 0 || !math.IsInf(worst, 1) {
-			t.Fatalf("trial %d: SlackDelta with no checkpoint open = (%v, %v)", i, dTNS, worst)
+		if dTNS, worst := tm.SlackDelta(); dTNS != [2]float64{} || !math.IsInf(worst[timing.Late], 1) || !math.IsInf(worst[timing.Early], 1) {
+			t.Fatalf("%s: SlackDelta with no checkpoint open = (%v, %v)", step, dTNS, worst)
 		}
+		for _, m := range modes {
+			want, _ := tm.WNSTNS(m)
+			if got := tm.CheckpointWNS(m); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s %v: CheckpointWNS with no checkpoint open = %v, WNSTNS = %v", step, m, got, want)
+			}
+		}
+	}
+	if untouched == 0 || raised == 0 || emptyAfterChange == 0 {
+		t.Fatalf("trials cover too little: %d changed no endpoint slack, %d raised a WNS, %d empty after a changing trial",
+			untouched, raised, emptyAfterChange)
 	}
 }
 
