@@ -59,12 +59,15 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Short coverage-guided runs of both fuzz targets: every scheduler and every
-# extraction primitive over mutated generator seeds. Any panic, invariant
-# violation or unexplained optimality gap fails the run.
+# Short coverage-guided runs of three fuzz targets: every scheduler and every
+# extraction primitive over mutated generator seeds, and the netlist reader
+# against its line-scanner reference on mutated netlists. Any panic,
+# invariant violation, unexplained optimality gap or reader divergence fails
+# the run.
 fuzz-smoke:
 	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime 30s
 	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzExtract$$' -fuzztime 30s
+	$(GO) test ./internal/netio -run '^$$' -fuzz '^FuzzReadMatchesReference$$' -fuzztime 20s
 
 # The differential acceptance sweep: 1000 seeded adversarial netlists, each
 # schedule checked against the independent LP oracle.

@@ -195,32 +195,31 @@ func (d *Design) AddCell(name string, t *CellType, pos geom.Point) CellID {
 	id := CellID(len(d.Cells))
 	c := Cell{Name: name, Type: t, Pos: pos}
 
-	addPin := func(dir PinDir, cap float64) {
-		pid := PinID(len(d.Pins))
-		d.Pins = append(d.Pins, Pin{Cell: id, Net: NoNet, Dir: dir, Cap: cap})
-		c.Pins = append(c.Pins, pid)
-	}
-
+	// Inputs come first, then at most one output.
+	nIn, nOut := 0, 0
 	switch t.Kind {
 	case KindComb:
-		for i := 0; i < t.NumInputs; i++ {
-			addPin(DirIn, t.InputCap)
-		}
-		addPin(DirOut, 0)
+		nIn, nOut = t.NumInputs, 1
 	case KindFF:
-		addPin(DirIn, t.InputCap) // D
-		addPin(DirIn, t.InputCap) // CK
-		addPin(DirOut, 0)         // Q
+		nIn, nOut = 2, 1 // D, CK; Q
 	case KindLCB:
-		addPin(DirIn, t.InputCap) // CKIN
-		addPin(DirOut, 0)         // CKOUT
+		nIn, nOut = 1, 1 // CKIN; CKOUT
 		c.Fixed = true
 	case KindPortIn, KindClockRoot:
-		addPin(DirOut, 0)
+		nOut = 1
 		c.Fixed = true
 	case KindPortOut:
-		addPin(DirIn, t.InputCap)
+		nIn = 1
 		c.Fixed = true
+	}
+	c.Pins = make([]PinID, nIn+nOut)
+	for k := range c.Pins {
+		pin := Pin{Cell: id, Net: NoNet, Dir: DirIn, Cap: t.InputCap}
+		if k >= nIn {
+			pin.Dir, pin.Cap = DirOut, 0
+		}
+		c.Pins[k] = PinID(len(d.Pins))
+		d.Pins = append(d.Pins, pin)
 	}
 
 	d.Cells = append(d.Cells, c)

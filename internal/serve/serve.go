@@ -238,8 +238,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 }
 
 // handleUpload ingests a netlist, validates it, and ensures its compiled
-// graph is resident — hashing the netlist exactly once; a re-upload of known
-// content is a pure cache hit.
+// graph is resident. Every upload parses, validates and hashes the netlist
+// once; a re-upload of known content skips only the compile.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.admit(w, r)
 	if !ok {
@@ -541,10 +541,18 @@ func targetWire(t map[netlist.CellID]float64) map[string]float64 {
 	return out
 }
 
+// writeJSON answers with v as one line of JSON. It marshals v before it
+// writes the status, so a value that cannot be encoded (a NaN or ±Inf
+// float) answers 500 with an ErrorResponse instead of an empty 200.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		b, _ = json.Marshal(ErrorResponse{Error: "encode response: " + err.Error()}) // strings always encode
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(b, '\n'))
 }
 
 func writeErr(w http.ResponseWriter, r *http.Request, code int, msg string) {

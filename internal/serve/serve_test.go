@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -298,6 +299,43 @@ func TestAPIErrors(t *testing.T) {
 			t.Fatalf("good job after error battery: HTTP %d: %s", code, data)
 		}
 	})
+}
+
+// TestUploadNonFiniteRejected: a netlist with one flip-flop's x coordinate
+// set to +Inf, to NaN, or to a finite 1e308 that overflows the wire model
+// is refused with a typed 400, so no job ever times a graph whose slacks
+// are NaN or ±Inf.
+func TestUploadNonFiniteRejected(t *testing.T) {
+	_, ts := newServer(t, serve.Config{})
+	for _, tc := range []struct {
+		x       float64
+		wantSub string
+	}{
+		{math.Inf(1), "netlist:"},
+		{math.NaN(), "netlist:"},
+		{1e308, "compile:"},
+	} {
+		t.Run(fmt.Sprint(tc.x), func(t *testing.T) {
+			d := genDesign(t, 3)
+			d.Cells[d.FFs[0]].Pos.X = tc.x
+			resp, err := http.Post(ts.URL+"/v1/graphs", "text/plain", bytes.NewReader(netText(t, d)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			data, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("HTTP %d, want 400: %s", resp.StatusCode, data)
+			}
+			var e serve.ErrorResponse
+			if err := json.Unmarshal(data, &e); err != nil {
+				t.Fatalf("error body is not ErrorResponse JSON: %v\n%s", err, data)
+			}
+			if !strings.HasPrefix(e.Error, tc.wantSub) {
+				t.Fatalf("error %q does not start with %q", e.Error, tc.wantSub)
+			}
+		})
+	}
 }
 
 func TestGraphInfoAndStats(t *testing.T) {

@@ -2,6 +2,7 @@ package timing
 
 import (
 	"fmt"
+	"math"
 
 	"iterskew/internal/delay"
 	"iterskew/internal/netlist"
@@ -58,7 +59,9 @@ type Graph struct {
 // Compile builds the immutable timing graph of d under model m: pin
 // classification, CSR adjacency, levelization, endpoint tables, plus the
 // pristine analysis snapshot that makes NewState cheap. It returns an error
-// if the data graph contains a combinational cycle.
+// if the data graph contains a combinational cycle, or if a bootstrap arc
+// delay or clock latency is NaN or ±Inf, as a coordinate near the float64
+// limit makes the wire model overflow.
 func Compile(d *netlist.Design, m delay.Model) (*Graph, error) {
 	g := &Graph{D: d, M: m}
 	np := len(d.Pins)
@@ -95,12 +98,32 @@ func Compile(d *netlist.Design, m delay.Model) (*Graph, error) {
 	s := g.blankState()
 	s.dIn, s.dInOwned = make([]float64, np), true
 	s.FullUpdate()
+	if err := s.nonFinite(); err != nil {
+		return nil, err
+	}
 	g.snapAtMin, g.snapAtMax = s.atMin, s.atMax
 	g.snapReqMin, g.snapReqMax = s.reqMin, s.reqMax
 	g.snapBaseLat = s.baseLat
 	g.snapDIn = s.dIn
 	g.snapStats = s.Stats
 	return g, nil
+}
+
+// nonFinite reports the first arc delay or clock latency of t that is NaN
+// or ±Inf.
+func (t *State) nonFinite() error {
+	d := t.D
+	for p, v := range t.dIn {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("timing: arc delay into pin %d of cell %q is %v", p, d.Cells[d.Pins[p].Cell].Name, v)
+		}
+	}
+	for i, v := range t.baseLat {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("timing: clock latency of flip-flop %q is %v", d.Cells[d.FFs[i]].Name, v)
+		}
+	}
+	return nil
 }
 
 // Design returns the design the graph was compiled from.

@@ -449,7 +449,9 @@ func (t *State) retimeLCB(lcb netlist.CellID, rootNet netlist.NetID, changed []n
 			continue
 		}
 		lat := atOut + t.M.SinkWireDelay(d, outNet, ck)
-		if math.Abs(lat-t.baseLat[fi]) > eps {
+		// Written as "not within eps" so that a NaN latency is stored too,
+		// where Compile's finiteness check sees it.
+		if !(math.Abs(lat-t.baseLat[fi]) <= eps) {
 			t.logLat(fi)
 			t.baseLat[fi] = lat
 			changed = append(changed, ff)
