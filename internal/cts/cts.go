@@ -50,7 +50,9 @@ type Result struct {
 // GuideTree re-clusters every flip-flop onto an LCB according to the
 // scheduled targets (flip-flops without a target keep their current latency
 // as the goal). Predictive latencies are cleared; the timer is left fully
-// updated.
+// updated. A refinement trial re-times only the clock (RetimeClock), since
+// its decision reads base latencies alone, and one Update after the last
+// trial propagates the kept ones.
 func GuideTree(tm *timing.State, targets map[netlist.CellID]float64, o Options) *Result {
 	start := time.Now()
 	d := tm.D
@@ -208,7 +210,7 @@ func GuideTree(tm *timing.State, targets map[netlist.CellID]float64, o Options) 
 			tm.DirtyCell(ff)
 			tm.DirtyCell(cur)
 			tm.DirtyCell(bestLCB)
-			tm.Update()
+			tm.RetimeClock() // the decision reads latencies only
 			if math.Abs(tm.BaseLatency(ff)-desired[ff]) > curErr+1e-9 {
 				// Worse in reality: revert.
 				d.MovePinToNet(d.FFClock(ff), d.Pins[d.LCBOut(cur)].Net)
@@ -218,6 +220,7 @@ func GuideTree(tm *timing.State, targets map[netlist.CellID]float64, o Options) 
 				res.Moved++
 			}
 		}
+		tm.Update() // propagates the kept moves' flip-flops
 	}
 
 	for _, ff := range d.FFs {

@@ -179,3 +179,45 @@ func TestGuideTreeDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestGuideTreeMatchesFreshTimer: GuideTree's refinement trials re-time only
+// the clock and leave their arrivals to one Update after the last trial;
+// afterwards every base latency and every pin's arrivals must match a timer
+// built from scratch on the re-clustered design, within
+// TestIncrementalMatchesFull's 1e-6. The refinement must have kept moves of
+// its own, or the final Update would have nothing to propagate.
+func TestGuideTreeMatchesFreshTimer(t *testing.T) {
+	for _, mode := range []timing.Mode{timing.Early, timing.Late} {
+		tm, _ := genTimer(t, 0.005)
+		base := tm.D.Clone()
+		res := mustCoreSchedule(t, tm, core.Options{Mode: mode})
+		g := GuideTree(tm, res.Target, Options{})
+
+		skipTM, err := timing.New(base, delay.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if skip := GuideTree(skipTM, res.Target, Options{SkipRefine: true}); g.Moved <= skip.Moved {
+			t.Fatalf("%v: refinement kept no move (%d moved, %d without it)", mode, g.Moved, skip.Moved)
+		}
+
+		fresh, err := timing.New(tm.D, delay.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		const tol = 1e-6
+		near := func(a, b float64) bool { return a == b || math.Abs(a-b) <= tol }
+		for _, ff := range tm.D.FFs {
+			if got, want := tm.BaseLatency(ff), fresh.BaseLatency(ff); !near(got, want) {
+				t.Fatalf("%v: ff %d base latency %v, fresh %v", mode, ff, got, want)
+			}
+		}
+		for p := range tm.D.Pins {
+			pin := netlist.PinID(p)
+			if !near(tm.ArrivalMax(pin), fresh.ArrivalMax(pin)) || !near(tm.ArrivalMin(pin), fresh.ArrivalMin(pin)) {
+				t.Fatalf("%v: pin %d arrivals (%v, %v), fresh (%v, %v)", mode, p,
+					tm.ArrivalMin(pin), tm.ArrivalMax(pin), fresh.ArrivalMin(pin), fresh.ArrivalMax(pin))
+			}
+		}
+	}
+}

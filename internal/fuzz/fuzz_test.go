@@ -122,8 +122,9 @@ type edgeKey struct{ l, c netlist.CellID }
 // checkExtraction cross-validates every extraction primitive on one fuzzed
 // design against the oracle's full graph: per-source and per-capture
 // extraction must reproduce the full graph exactly, batch extraction must be
-// byte-identical to serial, and essential extraction must return exactly the
-// below-margin edges.
+// byte-identical to serial, essential extraction must return exactly the
+// below-margin edges, and the both-mode per-capture walk must return
+// ExtractAllInto's launchers in each mode with bit-identical delays.
 func checkExtraction(t *testing.T, seed int64) {
 	t.Helper()
 	d := generateFor(t, seed)
@@ -228,6 +229,33 @@ func checkExtraction(t *testing.T, seed int64) {
 			batch := tm.ExtractEssentialBatch(endpoints, mode, margin, w, nil)
 			if !equalEdges(batch, essSerial) {
 				t.Errorf("seed %d %v: essential batch (workers=%d) differs from serial", seed, mode, w)
+			}
+		}
+	}
+
+	for _, cc := range captures {
+		var delay [2]map[netlist.CellID]float64
+		for _, mode := range []timing.Mode{timing.Late, timing.Early} {
+			delay[mode] = map[netlist.CellID]float64{}
+			for _, e := range tm.ExtractAllInto(cc, mode, nil) {
+				delay[mode][e.Launch] = e.Delay
+			}
+		}
+		edges0 := tm.Stats.ExtractedEdges
+		both := tm.ExtractAllIntoBoth(cc, nil)
+		if tm.Stats.ExtractedEdges != edges0 {
+			t.Errorf("seed %d: the both-mode walk into %d counted extracted edges", seed, cc)
+		}
+		if len(both) != len(delay[timing.Late]) || len(both) != len(delay[timing.Early]) {
+			t.Errorf("seed %d: both-mode walk into %d found %d launchers, ExtractAllInto %d late and %d early",
+				seed, cc, len(both), len(delay[timing.Late]), len(delay[timing.Early]))
+		}
+		for _, l := range both {
+			dl, okL := delay[timing.Late][l.Launch]
+			de, okE := delay[timing.Early][l.Launch]
+			if !okL || !okE || math.Float64bits(dl) != math.Float64bits(l.Late) || math.Float64bits(de) != math.Float64bits(l.Early) {
+				t.Errorf("seed %d: both-mode %d→%d delays (%v, %v), ExtractAllInto (%v, %v) (found %v, %v)",
+					seed, l.Launch, cc, l.Late, l.Early, dl, de, okL, okE)
 			}
 		}
 	}

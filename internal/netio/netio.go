@@ -165,17 +165,34 @@ func sortedDelays(m map[netlist.CellID]float64) []delayKV {
 	return out
 }
 
-// sanitize replaces whitespace in names so the line format stays parseable.
+// sanitize maps a name to one field that Read gives back as it was
+// written: every rune at which Read cuts fields (unicode.IsSpace, the ASCII
+// white space included) becomes '_', and so does a leading '#', which would
+// make a net's line a comment; an empty name becomes "_". A name of ASCII
+// field bytes that does not start with '#' is returned as is.
 func sanitize(s string) string {
 	if s == "" {
 		return "_"
 	}
-	return strings.Map(func(r rune) rune {
-		if r == ' ' || r == '\t' || r == '\n' {
+	if s[0] != '#' {
+		i := 0
+		for i < len(s) && byteClass[s[i]] == fieldByte {
+			i++
+		}
+		if i == len(s) {
+			return s
+		}
+	}
+	s = strings.Map(func(r rune) rune {
+		if unicode.IsSpace(r) {
 			return '_'
 		}
 		return r
 	}, s)
+	if s[0] == '#' {
+		s = "_" + s[1:]
+	}
+	return s
 }
 
 const (

@@ -136,11 +136,65 @@ end
 }
 
 func TestSanitize(t *testing.T) {
-	if got := sanitize("a b\tc"); got != "a_b_c" {
-		t.Errorf("sanitize = %q", got)
+	for in, want := range map[string]string{
+		"a b\tc":     "a_b_c",
+		"":           "_",
+		"n_12":       "n_12",
+		"#n":         "_n",
+		"##":         "_#",
+		"a#b":        "a#b",
+		"a\rb\vc\fd": "a_b_c_d",
+		"a\u00a0b":   "a_b",
+		"a\u2028b":   "a_b",
+		"a\u0085b":   "a_b",
+		"#\u3000é":   "__é",
+		"é":          "é",
+	} {
+		if got := sanitize(in); got != want {
+			t.Errorf("sanitize(%q) = %q, want %q", in, got, want)
+		}
 	}
-	if got := sanitize(""); got != "_" {
-		t.Errorf("sanitize empty = %q", got)
+}
+
+// TestWriteNamesRoundTrip: a design whose names hold any rune Read cuts
+// fields at, or a net name that starts with '#', writes text that Read
+// accepts and that writes back byte for byte.
+func TestWriteNamesRoundTrip(t *testing.T) {
+	p, err := bench.Superblue("superblue18", 0.003)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := bench.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"#n", "a\rb", "a\u00a0b", "a\u2028b", "a\vb", "a\fb", "a\u0085b", "a b", "# c", ""} {
+		d := base.Clone()
+		d.Name = name
+		d.Cells[3].Name = name
+		d.Nets[0].Name = name
+		d.Nets[len(d.Nets)-1].Name = name
+		var first bytes.Buffer
+		if err := Write(&first, d); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("name %q: %v", name, err)
+		}
+		if len(back.Nets) != len(d.Nets) || len(back.Cells) != len(d.Cells) {
+			t.Fatalf("name %q: read %d cells and %d nets, wrote %d and %d", name, len(back.Cells), len(back.Nets), len(d.Cells), len(d.Nets))
+		}
+		if got, want := back.Nets[0].Name, sanitize(name); got != want {
+			t.Errorf("name %q: net read back as %q, want %q", name, got, want)
+		}
+		var second bytes.Buffer
+		if err := Write(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Errorf("name %q: Write → Read → Write changed the text", name)
+		}
 	}
 }
 

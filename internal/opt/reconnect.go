@@ -67,10 +67,19 @@ type ReconnectResult struct {
 // (Eq 15 plus induced impact) is lowest, within the fanout and
 // once-per-LCB constraints. Predictive latencies are cleared up front, so
 // every decision is evaluated against physical reality. Each reconnection
-// is a timer trial: it is kept unless SlackDelta shows it lowered either
-// mode's TNS, in which case the clock pin goes back and the timer rolls
-// back. Flip-flops whose clock pin is on no net have no LCB to leave and
-// are skipped.
+// is a timer trial: it is kept unless its slack delta shows it lowered
+// either mode's TNS, in which case the clock pin goes back and the timer
+// rolls back. Flip-flops whose clock pin is on no net have no LCB to leave
+// and are skipped.
+//
+// A pass with more targets than the design has LCBs decides its trials on
+// the timer's launch→capture model: a trial re-times only the clock
+// (RetimeClock) and reads the model's slack delta, and one Update after the
+// last trial propagates every kept one. Since a trial re-times every
+// flip-flop of two LCBs, such a pass would otherwise propagate the average
+// flip-flop's fanout cone more than twice, while the model costs about one
+// two-mode walk of every fanin cone and one propagation. A smaller pass
+// runs Update and SlackDelta per trial.
 func Reconnect(tm *timing.State, targets map[netlist.CellID]float64, o ReconnectOptions) *ReconnectResult {
 	start := time.Now()
 	o.defaults()
@@ -99,6 +108,10 @@ func Reconnect(tm *timing.State, targets map[netlist.CellID]float64, o Reconnect
 		tm.SetExtraLatency(ff, 0)
 	}
 	tm.Update()
+	var model *timing.LaunchModel
+	if useModel(len(order), len(d.LCBs)) {
+		model = tm.LaunchModel()
+	}
 
 	lcbUsed := map[netlist.CellID]int{}
 	ckType := func(ff netlist.CellID) float64 { return d.Cells[ff].Type.InputCap }
@@ -153,9 +166,14 @@ func Reconnect(tm *timing.State, targets map[netlist.CellID]float64, o Reconnect
 		tm.DirtyCell(ff)
 		tm.DirtyCell(cur)
 		tm.DirtyCell(bestLCB)
-		tm.Update()
-
-		dTNS, _ := tm.SlackDelta()
+		var dTNS [2]float64
+		if model != nil {
+			tm.RetimeClock()
+			dTNS = model.SlackDelta()
+		} else {
+			tm.Update()
+			dTNS, _ = tm.SlackDelta()
+		}
 		if dTNS[timing.Early] < -eps || dTNS[timing.Late] < -eps {
 			// The schedule said this latency helps, but physically the move
 			// hurt one corner (granularity overshoot, co-FF impact): the
@@ -168,13 +186,33 @@ func Reconnect(tm *timing.State, targets map[netlist.CellID]float64, o Reconnect
 			continue
 		}
 		tm.Commit()
+		if model != nil {
+			model.Fold()
+		}
 		lcbUsed[bestLCB]++
 		res.Reconnected++
 		res.ResidualAbs += math.Abs(tm.BaseLatency(ff) - desired[ff])
 	}
+	if model != nil {
+		tm.Update()
+		model.Release()
+	}
 
 	res.Elapsed = time.Since(start)
 	return res
+}
+
+// trialPath overrides useModel's rule in the differential tests: +1 forces
+// the launch→capture model, −1 the per-trial Update, 0 applies the rule.
+var trialPath int
+
+// useModel reports whether a reconnection pass over the given number of
+// targets decides its trials on the launch→capture model (see Reconnect).
+func useModel(targets, lcbs int) bool {
+	if trialPath != 0 {
+		return trialPath > 0
+	}
+	return targets > lcbs
 }
 
 // cand is a reconnection candidate: an LCB and how far its distance from

@@ -41,7 +41,6 @@ import (
 	"iterskew/internal/core"
 	"iterskew/internal/delay"
 	"iterskew/internal/engine"
-	"iterskew/internal/eval"
 	"iterskew/internal/fpm"
 	"iterskew/internal/graphio"
 	"iterskew/internal/iccss"
@@ -402,12 +401,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// QoR (and, for corner jobs, the per-corner breakdown) can only be read
-	// inside the session, while the latencies are still applied.
-	var qor eval.Metrics
+	// inside the session, while the latencies are still applied. The answer
+	// reports WNS and TNS only, so no wirelength or violation count is taken.
+	var wnsE, tnsE, wnsL, tnsL float64
 	var cornerRes []CornerResult
 	var cornerDiff int
 	job.After = func(tm sched.TimingView, _ *sched.Result) {
-		qor = eval.Measure(tm)
+		wnsE, tnsE = tm.WNSTNS(timing.Early)
+		wnsL, tnsL = tm.WNSTNS(timing.Late)
 		cv, ok := tm.(sched.CornerView)
 		if !ok {
 			return
@@ -455,7 +456,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	qorEv := obs.Event{
 		Type: "qor", Req: info.id, Method: name, Design: key.String(),
 		Mode: mode.String(), Round: res.Rounds, NewEdges: res.EdgesExtracted,
-		WNS: qor.WNSLate, TNS: qor.TNSLate,
+		WNS: wnsL, TNS: tnsL,
 		ElapsedMS: float64(res.Elapsed.Nanoseconds()) / 1e6,
 	}
 	if len(cornerRes) > 0 {
@@ -480,10 +481,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		Cycles:           res.Cycles,
 		EdgesExtracted:   res.EdgesExtracted,
 		ElapsedMS:        float64(res.Elapsed.Nanoseconds()) / 1e6,
-		WNSEarlyPS:       qor.WNSEarly,
-		TNSEarlyPS:       qor.TNSEarly,
-		WNSLatePS:        qor.WNSLate,
-		TNSLatePS:        qor.TNSLate,
+		WNSEarlyPS:       wnsE,
+		TNSEarlyPS:       tnsE,
+		WNSLatePS:        wnsL,
+		TNSLatePS:        tnsL,
 		Corners:          cornerRes,
 		CornerDiffRounds: cornerDiff,
 		Target:           targetWire(res.Target),

@@ -240,7 +240,7 @@ func (g *Graph) blankState() *State {
 	t.cellDirtyMark = make([]bool, len(d.Cells))
 	t.baseLat = make([]float64, len(d.FFs))
 	t.extraLat = make([]float64, len(d.FFs))
-	t.ffDirtyMark = make([]bool, len(d.FFs))
+	t.ffDirtyMark = make([]bool, len(d.Cells))
 	t.fwdBuckets = make([][]netlist.PinID, g.maxLvl+1)
 	t.bwdBuckets = make([][]netlist.PinID, g.maxLvl+1)
 	return t
@@ -254,7 +254,26 @@ func (g *Graph) blankState() *State {
 func (g *Graph) NewState() *State {
 	t := g.blankState()
 	t.restoreSnapshot()
+	t.carveForward()
 	return t
+}
+
+// carveForward cuts the forward buckets out of one array, each capped at
+// its level's pin count. Update queues a pin at most once, so no bucket
+// outgrows its share, and a propagation through most of the graph, like the
+// one that ends a reconnection pass, allocates nothing.
+func (t *State) carveForward() {
+	end := make([]int32, t.maxLvl+2) // end[l+1]: data pins up to level l
+	for _, p := range t.order {
+		end[t.level[p]+1]++
+	}
+	for l := int32(0); l <= t.maxLvl; l++ {
+		end[l+1] += end[l]
+	}
+	buf := make([]netlist.PinID, len(t.order))
+	for l := range t.fwdBuckets {
+		t.fwdBuckets[l] = buf[end[l]:end[l]:end[l+1]]
+	}
 }
 
 // restoreSnapshot copies the pristine post-compile analysis into t and

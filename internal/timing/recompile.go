@@ -227,7 +227,7 @@ func (g *Graph) Recompile(delta Delta) (RecompileStats, error) {
 		if pin.Net == netlist.NoNet {
 			if fi := g.ffIdx[pin.Cell]; fi >= 0 && d.Cells[pin.Cell].Pins[netlist.FFPinCK] == p && s.baseLat[fi] != 0 {
 				s.baseLat[fi] = 0
-				s.markFFDirty(pin.Cell, fi)
+				s.markFFDirty(pin.Cell)
 			}
 		}
 	}
@@ -236,7 +236,7 @@ func (g *Graph) Recompile(delta Delta) (RecompileStats, error) {
 		s.seedBwd(p)
 	}
 	for _, ff := range s.dirtyFFList {
-		s.ffDirtyMark[s.ffIdx[ff]] = false
+		s.ffDirtyMark[ff] = false
 		if q := d.FFQ(ff); s.inData[q] {
 			s.seedFwd(q)
 		}
@@ -489,7 +489,7 @@ func (g *Graph) refreshClockExact(s *State) {
 			}
 			if math.Float64bits(lat) != math.Float64bits(s.baseLat[fi]) {
 				s.baseLat[fi] = lat
-				s.markFFDirty(ff, fi)
+				s.markFFDirty(ff)
 			}
 		}
 	}

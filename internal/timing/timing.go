@@ -10,7 +10,9 @@
 //     flip-flops re-times only their fanout cones at Update, and their fanin
 //     cones' required times at the next launch-slack read;
 //   - clock-network evaluation (root → LCB → FF) so that LCB–FF reconnection
-//     physically changes flip-flop latencies;
+//     physically changes flip-flop latencies, and a clock-only retime with a
+//     launch→capture model (launch.go) on which a reconnection pass decides
+//     its trials without propagating arrivals per trial;
 //   - sequential-edge extraction primitives: backward tracing of violating
 //     paths from an endpoint (essential edges only, §III-B1) and forward
 //     per-source extraction of all outgoing edges (the IC-CSS callback);
@@ -108,7 +110,7 @@ type State struct {
 	// by in-queue bitsets, so repeated SetExtraLatency/DirtyCell calls stay
 	// allocation-free and Update drains them in deterministic append order.
 	dirtyFFList   []netlist.CellID
-	ffDirtyMark   []bool // indexed by FF index
+	ffDirtyMark   []bool // indexed by cell
 	dirtyCellList []netlist.CellID
 	cellDirtyMark []bool // indexed by cell
 	netSeen       []bool // structural-update net dedup scratch
@@ -125,6 +127,7 @@ type State struct {
 
 	// Extraction scratch state.
 	trace     traceState
+	early     earlyLabels // ExtractAllIntoBoth's early labels
 	dout      []float64
 	doutValid bool
 
@@ -298,7 +301,7 @@ func (t *State) SetExtraLatency(ff netlist.CellID, l float64) {
 	}
 	t.logLat(i)
 	t.extraLat[i] = l
-	t.markFFDirty(ff, i)
+	t.markFFDirty(ff)
 }
 
 // AddExtraLatency increments the predictive CSS latency of a flip-flop.
@@ -309,12 +312,12 @@ func (t *State) AddExtraLatency(ff netlist.CellID, dl float64) {
 	i := t.ffIdx[ff]
 	t.logLat(i)
 	t.extraLat[i] += dl
-	t.markFFDirty(ff, i)
+	t.markFFDirty(ff)
 }
 
-func (t *State) markFFDirty(ff netlist.CellID, i int32) {
-	if !t.ffDirtyMark[i] {
-		t.ffDirtyMark[i] = true
+func (t *State) markFFDirty(ff netlist.CellID) {
+	if !t.ffDirtyMark[ff] {
+		t.ffDirtyMark[ff] = true
 		t.dirtyFFList = append(t.dirtyFFList, ff)
 	}
 }
@@ -334,7 +337,7 @@ func (t *State) DirtyCell(c netlist.CellID) {
 // clearDirty resets both pending-change queues.
 func (t *State) clearDirty() {
 	for _, ff := range t.dirtyFFList {
-		t.ffDirtyMark[t.ffIdx[ff]] = false
+		t.ffDirtyMark[ff] = false
 	}
 	t.dirtyFFList = t.dirtyFFList[:0]
 	for _, c := range t.dirtyCellList {
@@ -631,6 +634,10 @@ func (t *State) Update() int {
 		t.rec.Add(obs.CtrTimerDirtyFFs, int64(len(t.dirtyFFList)))
 		t.rec.Add(obs.CtrTimerDirtyCells, int64(len(t.dirtyCellList)))
 	}
+	if t.undo.open {
+		t.undo.ffCut.drain(t.dirtyFFList)
+		t.undo.cellCut.drain(t.dirtyCellList)
+	}
 	if len(t.dirtyCellList) > 0 {
 		// Structural/positional change: refresh the delays of incident nets
 		// and the clock network, then seed affected data pins.
@@ -654,7 +661,7 @@ func (t *State) Update() int {
 			t.refreshNet(n)
 		}
 		for _, ff := range t.recomputeClock(false) {
-			t.markFFDirty(ff, t.ffIdx[ff])
+			t.markFFDirty(ff)
 		}
 		for _, n := range t.netSeenList {
 			t.netSeen[n] = false
@@ -686,7 +693,7 @@ func (t *State) Update() int {
 		}
 	}
 	for _, ff := range t.dirtyFFList {
-		t.ffDirtyMark[t.ffIdx[ff]] = false
+		t.ffDirtyMark[ff] = false
 		q := t.D.FFQ(ff)
 		if t.inData[q] {
 			t.seedFwd(q)
@@ -705,6 +712,39 @@ func (t *State) Update() int {
 	}
 	sp.EndArg2("pins", int64(visited), "levels", int64(levels))
 	return visited
+}
+
+// RetimeClock applies the pending DirtyCell changes to the clock network
+// only: it re-times the LCBs whose output net a dirty cell is on, as Update
+// would, logs the latencies it writes while a checkpoint is open, and queues
+// the flip-flops whose latency moved, so that the next Update propagates
+// their arrivals. It consumes the DirtyCell marks without re-deriving any
+// data net, so it serves only a change that alters no data-arc delay: a
+// clock pin moved between LCB nets, as in a §IV-A reconnection. Until that
+// Update, arrivals (and so Slack, WNSTNS and SlackDelta) stay as the last
+// Update left them; a LaunchModel reads the new latencies instead.
+func (t *State) RetimeClock() {
+	if t.undo.open {
+		t.undo.cellCut.drain(t.dirtyCellList)
+	}
+	t.netSeenList = t.netSeenList[:0]
+	for _, c := range t.dirtyCellList {
+		t.cellDirtyMark[c] = false
+		for _, p := range t.D.Cells[c].Pins {
+			n := t.D.Pins[p].Net
+			if n != netlist.NoNet && t.D.Nets[n].IsClock && !t.netSeen[n] {
+				t.netSeen[n] = true
+				t.netSeenList = append(t.netSeenList, n)
+			}
+		}
+	}
+	t.dirtyCellList = t.dirtyCellList[:0]
+	for _, ff := range t.recomputeClock(false) {
+		t.markFFDirty(ff)
+	}
+	for _, n := range t.netSeenList {
+		t.netSeen[n] = false
+	}
 }
 
 func (t *State) seedFwd(p netlist.PinID) {

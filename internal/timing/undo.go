@@ -26,7 +26,16 @@ import (
 // Required times need no log: Update only queues backward seeds, and a
 // required-time read inside a trial panics. Checkpoint records each backward
 // bucket's length instead, and Rollback cuts the buckets back to it, so the
-// seeds of committed trials stay queued for the next read.
+// seeds of committed trials stay queued for the next read. It does the same
+// with the two dirty queues, so a reconnection pass can run its trials as
+//
+//	Checkpoint → move a clock pin, DirtyCell → RetimeClock → LaunchModel.SlackDelta
+//	→ Commit and LaunchModel.Fold
+//
+// (launch.go) and propagate every kept trial's flip-flops with one Update
+// after the last: a rejected trial drops only the flip-flops it queued. A
+// drain inside the checkpoint (Update, or RetimeClock for the cells) first
+// keeps a copy of what was queued before it, for Rollback to queue again.
 //
 // Stats and recorder counters count work done; they are never rolled back.
 
@@ -44,6 +53,9 @@ type undoLog struct {
 	// Backward bucket lengths and reqStale at Checkpoint.
 	bwdLen   []int32
 	reqStale bool
+
+	// The dirty queues at Checkpoint.
+	ffCut, cellCut queueCut
 
 	// Scratch of touchLogged, indexed by endpoint; mark[e] == epoch means e
 	// is in touched for the current call.
@@ -68,6 +80,46 @@ type latOld struct {
 	base, extra float64
 }
 
+// queueCut is a dirty queue as it stood at Checkpoint: its length, and,
+// once a drain inside the checkpoint has consumed the queue, a copy of the
+// entries it held then.
+type queueCut struct {
+	n       int
+	drained bool
+	kept    []netlist.CellID
+}
+
+// open records the queue's length at Checkpoint.
+func (c *queueCut) open(q []netlist.CellID) { c.n, c.drained = len(q), false }
+
+// drain keeps the entries q held at Checkpoint, once per checkpoint, before
+// a drain empties q.
+func (c *queueCut) drain(q []netlist.CellID) {
+	if !c.drained {
+		c.drained = true
+		c.kept = append(c.kept[:0], q[:c.n]...)
+	}
+}
+
+// cut returns q as it stood at Checkpoint, keeping mark, its in-queue
+// bitset indexed by cell, in step.
+func (c *queueCut) cut(q []netlist.CellID, mark []bool) []netlist.CellID {
+	if !c.drained {
+		for _, x := range q[c.n:] {
+			mark[x] = false
+		}
+		return q[:c.n]
+	}
+	for _, x := range q {
+		mark[x] = false
+	}
+	q = append(q[:0], c.kept...)
+	for _, x := range q {
+		mark[x] = true
+	}
+	return q
+}
+
 // epTimes is an endpoint's capture latency (0 for a port) and arrivals.
 type epTimes struct {
 	lat, atMin, atMax float64
@@ -83,12 +135,12 @@ func (u *undoLog) close() {
 // Checkpoint opens an undo log: from here on every analysis value that
 // Update (or SetExtraLatency/AddExtraLatency) overwrites is recorded, until
 // Commit or Rollback closes the log. It also records the length of each
-// backward bucket, so Rollback drops exactly the seeds the trial queued.
-// One checkpoint may be open at a time; opening a second one panics, and
-// so does a required-time read (LaunchLateSlack, LaunchEarlySlack) before
-// the log closes. The state should be settled (no changes queued since the
-// last Update): Rollback empties the dirty queues, so a change queued
-// before the checkpoint would be lost.
+// backward bucket and dirty queue, so Rollback drops exactly the seeds and
+// the changes the trial queued. One checkpoint may be open at a time;
+// opening a second one panics, and so does a required-time read
+// (LaunchLateSlack, LaunchEarlySlack) before the log closes. Forward
+// propagation should be settled: Rollback empties the forward buckets,
+// which hold pins only after an Update the SetCheck hook aborted.
 func (t *State) Checkpoint() {
 	u := &t.undo
 	if u.open {
@@ -101,6 +153,8 @@ func (t *State) Checkpoint() {
 		u.bwdLen = append(u.bwdLen, int32(len(bucket)))
 	}
 	u.reqStale = t.reqStale
+	u.ffCut.open(t.dirtyFFList)
+	u.cellCut.open(t.dirtyCellList)
 }
 
 // Commit keeps every change made since Checkpoint and closes the log. It is
@@ -108,11 +162,11 @@ func (t *State) Checkpoint() {
 func (t *State) Commit() { t.undo.close() }
 
 // Rollback restores every arrival time, clock latency and arc delay to its
-// value at Checkpoint, bit for bit, empties the dirty queues and the
-// forward buckets, cuts the backward buckets back to their lengths at
-// Checkpoint (required times are never written inside a trial, so the
-// seeds queued before it, committed trials' included, stay queued), and
-// closes the log. The caller reverts the design itself (MovePinToNet,
+// value at Checkpoint, bit for bit, returns the dirty queues and the
+// backward buckets to what they held at Checkpoint (required times are
+// never written inside a trial, so the seeds and changes queued before it,
+// committed trials' included, stay queued), empties the forward buckets,
+// and closes the log. The caller reverts the design itself (MovePinToNet,
 // MoveCell or SwapType back) and then calls Rollback instead of DirtyCell
 // and Update. It is a no-op when no checkpoint is open.
 func (t *State) Rollback() {
@@ -133,7 +187,8 @@ func (t *State) Rollback() {
 		t.baseLat[e.fi], t.extraLat[e.fi] = e.base, e.extra
 	}
 	t.clkIn, t.clkInOK = u.clkIn, u.clkInOK
-	t.clearDirty()
+	t.dirtyFFList = u.ffCut.cut(t.dirtyFFList, t.ffDirtyMark)
+	t.dirtyCellList = u.cellCut.cut(t.dirtyCellList, t.cellDirtyMark)
 	t.clearForward()
 	t.truncateBackward(u.bwdLen, u.reqStale)
 	u.close()

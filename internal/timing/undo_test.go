@@ -311,3 +311,82 @@ func TestCheckpointClosers(t *testing.T) {
 	tm.Checkpoint()
 	tm.Checkpoint()
 }
+
+// TestRollbackKeepsQueuedChanges: changes queued before a Checkpoint stay
+// queued through its Rollback, whether the trial left the dirty queues
+// alone, drained them with Update, or drained the dirty cells with
+// RetimeClock. After the Rollback, one Update must leave the state
+// bit-identical to a twin that queued the same changes and ran no trial.
+func TestRollbackKeepsQueuedChanges(t *testing.T) {
+	trials := map[string]func(tm *timing.State) (revert func()){
+		"latency": func(tm *timing.State) func() {
+			tm.SetExtraLatency(tm.D.FFs[40], 17)
+			return func() {}
+		},
+		"reconnect+Update": func(tm *timing.State) func() {
+			revert := reconnectFirst(t, tm)
+			tm.Update()
+			return revert
+		},
+		"reconnect+RetimeClock": func(tm *timing.State) func() {
+			revert := reconnectFirst(t, tm)
+			tm.RetimeClock()
+			return revert
+		},
+	}
+	for name, trial := range trials {
+		t.Run(name, func(t *testing.T) {
+			tm := genTimer(t)
+			twin, err := timing.New(tm.D.Clone(), delay.Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The queued changes: predictive latencies and a moved cell.
+			var moved netlist.CellID = netlist.NoCell
+			for i, c := range tm.D.Cells {
+				if !c.Fixed && c.Type.Kind == netlist.KindComb {
+					moved = netlist.CellID(i)
+					break
+				}
+			}
+			for _, s := range []*timing.State{tm, twin} {
+				for _, ff := range s.D.FFs[:6] {
+					s.SetExtraLatency(ff, 25)
+				}
+				if !s.D.MoveCell(moved, s.D.Cells[moved].Pos.Add(geom.Pt(s.D.MaxDisp/2, 0))) {
+					t.Fatal("cell did not move")
+				}
+				s.DirtyCell(moved)
+			}
+			tm.Checkpoint()
+			revert := trial(tm)
+			revert()
+			tm.Rollback()
+			tm.Update()
+			twin.Update()
+			requireAnalysisEqual(t, name, tm.CopyAnalysis(), twin.CopyAnalysis())
+		})
+	}
+}
+
+// reconnectFirst moves the first flip-flop's clock pin to another LCB,
+// queues the change, and returns the function that moves it back.
+func reconnectFirst(t *testing.T, tm *timing.State) func() {
+	t.Helper()
+	d := tm.D
+	ff := d.FFs[0]
+	cur := d.LCBofFF(ff)
+	for _, to := range d.LCBs {
+		if to == cur || d.Pins[d.LCBOut(to)].Net == netlist.NoNet {
+			continue
+		}
+		ck := d.FFClock(ff)
+		d.MovePinToNet(ck, d.Pins[d.LCBOut(to)].Net)
+		tm.DirtyCell(ff)
+		tm.DirtyCell(cur)
+		tm.DirtyCell(to)
+		return func() { d.MovePinToNet(ck, d.Pins[d.LCBOut(cur)].Net) }
+	}
+	t.Fatal("no LCB to reconnect to")
+	return nil
+}
