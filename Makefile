@@ -59,17 +59,20 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Short coverage-guided runs of four fuzz targets: every scheduler and every
+# Short coverage-guided runs of five fuzz targets: every scheduler and every
 # extraction primitive over mutated generator seeds, the netlist reader
-# against its line-scanner reference on mutated netlists, and reconnection
-# trials decided on the launch→capture model against the per-trial Update.
-# Any panic, invariant violation, unexplained optimality gap, reader
-# divergence or trial disagreement fails the run.
+# against its line-scanner reference on mutated netlists, reconnection
+# trials decided on the launch→capture model against the per-trial Update,
+# and the content hash against netio.Write's text under one-field design
+# mutations. Any panic, invariant violation, unexplained optimality gap,
+# reader divergence, trial disagreement, or hash that changes when the text
+# does not (or the reverse) fails the run.
 fuzz-smoke:
 	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime 30s
 	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzExtract$$' -fuzztime 30s
 	$(GO) test ./internal/netio -run '^$$' -fuzz '^FuzzReadMatchesReference$$' -fuzztime 20s
 	$(GO) test ./internal/timing -run '^$$' -fuzz '^FuzzClockTrial$$' -fuzztime 20s
+	$(GO) test ./internal/graphio -run '^$$' -fuzz '^FuzzHashMatchesText$$' -fuzztime 20s
 
 # The differential acceptance sweep: 1000 seeded adversarial netlists, each
 # schedule checked against the independent LP oracle.

@@ -452,10 +452,13 @@ func mergeBench(path string, set func(*benchJSON)) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	if err := enc.Encode(out); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // pct returns the p'th percentile of sorted values (nearest-rank).

@@ -388,8 +388,8 @@ type coldStartJSON struct {
 	BlobKB    float64 `json:"artifact_kb"` // encoded artifact size
 	CompileNs float64 `json:"compile_ns"`  // timing.Compile from the netlist
 	EncodeNs  float64 `json:"encode_ns"`   // graphio.Write to memory
-	// HashNs is the one-time graphio.HashOf cost; a loader pays it once per
-	// design and then decodes any number of artifacts against it.
+	// HashNs is the graphio.HashOf cost; a loader pays it once per design
+	// and then decodes any number of artifacts against it.
 	HashNs    float64 `json:"hash_ns"`
 	DecodeNs  float64 `json:"decode_ns"` // graphio.ReadVerified from memory
 	Speedup   float64 `json:"decode_speedup"`
@@ -639,12 +639,11 @@ func scheduleTargets(g *timing.Graph) (map[iterskew.CellID]float64, error) {
 	return res.Target, nil
 }
 
-// measureColdStart times compile-from-netlist vs decode-from-artifact for
-// one design and verifies the decoded graph schedules identically. Both
-// sides report best-of-N: a cold start is a one-shot event in a fresh
-// process, so the representative number excludes the GC churn the
-// measurement loop itself induces by leaking one multi-megabyte graph per
-// iteration (this applies equally to the compile and decode loops).
+// measureColdStart times compile-from-netlist vs hash and decode-from-artifact
+// for one design and verifies the decoded graph schedules identically. Every
+// column is best-of-N: a cold start is a one-shot event in a fresh process,
+// so the representative number excludes the GC churn the measurement loop
+// itself induces by leaking one multi-megabyte graph per iteration.
 func measureColdStart(name string, scale float64) (coldStartJSON, error) {
 	out := coldStartJSON{Design: name}
 	p, err := iterskew.SuperblueProfile(name, scale)
@@ -657,48 +656,35 @@ func measureColdStart(name string, scale float64) (coldStartJSON, error) {
 	}
 	m := delay.Default()
 
-	// Each timed iteration starts on a collected heap: the loop leaks one
-	// multi-megabyte graph per pass, and without the explicit GC the next
-	// iteration pays the previous one's collection debt — noise a real
-	// one-shot cold start (or compile) never sees. Both loops get the same
-	// treatment.
 	const compIters, decIters = 5, 10
 	var g *timing.Graph
-	best := math.MaxFloat64
-	for i := 0; i < compIters; i++ {
-		runtime.GC()
-		start := time.Now()
-		if g, err = timing.Compile(d, m); err != nil {
-			return out, err
-		}
-		best = math.Min(best, float64(time.Since(start).Nanoseconds()))
+	if out.CompileNs, err = bestOf(compIters, func() (err error) {
+		g, err = timing.Compile(d, m)
+		return err
+	}); err != nil {
+		return out, err
 	}
-	out.CompileNs = best
 
 	var buf bytes.Buffer
-	best = math.MaxFloat64
-	for i := 0; i < compIters; i++ {
+	if out.EncodeNs, err = bestOf(compIters, func() error {
 		buf.Reset()
-		runtime.GC()
-		start := time.Now()
-		if err := graphio.Write(&buf, g); err != nil {
-			return out, err
-		}
-		best = math.Min(best, float64(time.Since(start).Nanoseconds()))
+		return graphio.Write(&buf, g)
+	}); err != nil {
+		return out, err
 	}
-	out.EncodeNs = best
 	out.GraphKB = float64(g.Bytes()) / 1024
 	out.BlobKB = float64(buf.Len()) / 1024
 
-	// Hash once (the loader's steady state: one HashOf per design, then any
-	// number of O(read) decodes against it), then time the cold start proper:
-	// read the artifact file back and decode it in place.
-	start := time.Now()
-	h, err := graphio.HashOf(d, m)
-	if err != nil {
+	// A loader hashes once per design and then decodes any number of
+	// artifacts against that hash in O(read); the cold start proper reads
+	// the artifact file back and decodes it in place.
+	var h graphio.Hash
+	if out.HashNs, err = bestOf(decIters, func() (err error) {
+		h, err = graphio.HashOf(d, m)
+		return err
+	}); err != nil {
 		return out, err
 	}
-	out.HashNs = float64(time.Since(start).Nanoseconds())
 
 	tmp, err := os.CreateTemp("", "cssbench-*.iskg")
 	if err != nil {
@@ -714,20 +700,16 @@ func measureColdStart(name string, scale float64) (coldStartJSON, error) {
 	}
 
 	var lg *timing.Graph
-	best = math.MaxFloat64
-	for i := 0; i < decIters; i++ {
-		runtime.GC()
-		start := time.Now()
+	if out.DecodeNs, err = bestOf(decIters, func() error {
 		blob, err := os.ReadFile(tmp.Name())
 		if err != nil {
-			return out, err
+			return err
 		}
-		if lg, err = graphio.DecodeVerified(blob, d, m, h); err != nil {
-			return out, err
-		}
-		best = math.Min(best, float64(time.Since(start).Nanoseconds()))
+		lg, err = graphio.DecodeVerified(blob, d, m, h)
+		return err
+	}); err != nil {
+		return out, err
 	}
-	out.DecodeNs = best
 	out.Speedup = out.CompileNs / out.DecodeNs
 
 	want, err := scheduleTargets(g)
@@ -740,6 +722,22 @@ func measureColdStart(name string, scale float64) (coldStartJSON, error) {
 	}
 	out.Identical = sameSchedule(got, want)
 	return out, nil
+}
+
+// bestOf runs fn n times and returns its fastest run in ns. Each run starts
+// on a collected heap: without the explicit GC a run pays the previous one's
+// collection debt, noise a real one-shot cold start (or compile) never sees.
+func bestOf(n int, fn func() error) (float64, error) {
+	best := math.MaxFloat64
+	for i := 0; i < n; i++ {
+		runtime.GC()
+		start := time.Now()
+		if err := fn(); err != nil {
+			return 0, err
+		}
+		best = math.Min(best, float64(time.Since(start).Nanoseconds()))
+	}
+	return best, nil
 }
 
 // measureRecompile times the ECO loop: a single-cell move applied through
@@ -935,8 +933,8 @@ func writeJSON(path string, scale float64, workers int, names []string, rows []r
 			os.Exit(1)
 		}
 		out.Recompile = append(out.Recompile, rc)
-		fmt.Printf("%-12s cold start: compile %.2fms vs decode %.2fms (%.1fx); recompile/delta %.3fms vs full %.2fms (%.1fx)\n",
-			name, cs.CompileNs/1e6, cs.DecodeNs/1e6, cs.Speedup,
+		fmt.Printf("%-12s cold start: compile %.2fms vs hash %.2fms + decode %.2fms (%.1fx, %.1fx with the hash); recompile/delta %.3fms vs full %.2fms (%.1fx)\n",
+			name, cs.CompileNs/1e6, cs.HashNs/1e6, cs.DecodeNs/1e6, cs.Speedup, cs.CompileNs/(cs.HashNs+cs.DecodeNs),
 			rc.DeltaNs/1e6, rc.FullCompileNs/1e6, rc.Ratio)
 		if !cs.Identical || !rc.Identical {
 			fmt.Fprintf(os.Stderr, "%s: decoded/recompiled graph diverges from from-scratch compile\n", name)
@@ -944,19 +942,21 @@ func writeJSON(path string, scale float64, workers int, names []string, rows []r
 		}
 	}
 
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
+	if err := writeTableI(path, out); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	fmt.Printf("\nwrote %s (%d rows, %d micro-timings)\n", path, len(rows), len(out.Micro))
+}
+
+// writeTableI merges a Table-I run into the BENCH JSON at path: every field
+// the run measures is replaced, and the blocks it does not measure (those of
+// -sessions, -load and -corners) are kept as the file holds them.
+func writeTableI(path string, run benchJSON) error {
+	return mergeBench(path, func(out *benchJSON) {
+		run.Sessions, run.Service, run.MCMM = out.Sessions, out.Service, out.MCMM
+		*out = run
+	})
 }
 
 // validateTrace decodes a -trace output file and asserts the coverage the

@@ -44,7 +44,8 @@ import (
 )
 
 // Hash is the sha256 content hash binding a compiled graph to its inputs:
-// the netio serialization of the design plus the delay-model parameters.
+// the netio serialization of the design, in netio.WriteBinary's form (Write's
+// fields with every number in binary), plus the delay-model parameters.
 type Hash [32]byte
 
 // String returns the hash in hex.
@@ -59,42 +60,33 @@ var hashOps atomic.Uint64
 // HashOps returns the process-wide number of HashOf calls so far.
 func HashOps() uint64 { return hashOps.Load() }
 
-// HashOf computes the content hash of a design + delay model pair. It
-// serializes the whole netlist, so it is O(design), not O(1) — compute it
-// once per design and reuse it (see ReadVerified).
+// HashOf computes the content hash of a design + delay model pair: sha256
+// over netio.WriteBinary's bytes for d, streamed in bounded chunks, then the
+// model's four parameters as little-endian float64s. Equal hashes therefore
+// mean equal netio.Write text and an equal model; a design read back from
+// its own Write text hashes as the original. It walks the whole netlist, so
+// it is O(design), not O(1) — compute it once per design and reuse it (see
+// ReadVerified).
 func HashOf(d *netlist.Design, m delay.Model) (Hash, error) {
 	hashOps.Add(1)
 	hw := sha256.New()
-	if err := netio.Write(hw, d); err != nil {
+	if err := netio.WriteBinary(hw, d); err != nil {
 		return Hash{}, fmt.Errorf("graphio: hashing netlist: %w", err)
 	}
-	hashModel(hw, m)
-	var h Hash
-	hw.Sum(h[:0])
-	return h, nil
-}
-
-func hashModel(w io.Writer, m delay.Model) {
 	var b [32]byte
 	binary.LittleEndian.PutUint64(b[0:], math.Float64bits(m.RWire))
 	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(m.CWire))
 	binary.LittleEndian.PutUint64(b[16:], math.Float64bits(m.DerateEarly))
 	binary.LittleEndian.PutUint64(b[24:], math.Float64bits(m.DerateLate))
-	w.Write(b[:])
-}
-
-func hashOfBytes(netlistText []byte, m delay.Model) Hash {
-	hw := sha256.New()
-	hw.Write(netlistText)
-	hashModel(hw, m)
+	hw.Write(b[:])
 	var h Hash
 	hw.Sum(h[:0])
-	return h
+	return h, nil
 }
 
 const (
 	magic   = "ISKG"
-	version = 2
+	version = 3
 )
 
 // Section tags, in file order.
@@ -155,15 +147,19 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 func align8(n int) int { return (n + 7) &^ 7 }
 
-// Write serializes the compiled graph to w: header, content hash, the
-// embedded source netlist, every slab, and the CRC trailer.
+// Write serializes the compiled graph to w: header, content hash (HashOf of
+// the graph's design and model), the embedded source netlist as netio.Write
+// text, every slab, and the CRC trailer.
 func Write(w io.Writer, g *timing.Graph) error {
 	d, m := g.Design(), g.Model()
 	var nl bytes.Buffer
 	if err := netio.Write(&nl, d); err != nil {
 		return fmt.Errorf("graphio: embedding netlist: %w", err)
 	}
-	h := hashOfBytes(nl.Bytes(), m)
+	h, err := HashOf(d, m)
+	if err != nil {
+		return err
+	}
 	s := g.Slabs()
 
 	e := encoder{buf: make([]byte, 0, int(g.Bytes())+nl.Len()+2048)}
@@ -223,7 +219,7 @@ func Write(w io.Writer, g *timing.Graph) error {
 	})
 
 	e.u32(crc32.Checksum(e.buf, crcTable))
-	_, err := w.Write(e.buf)
+	_, err = w.Write(e.buf)
 	return err
 }
 
@@ -243,8 +239,9 @@ func epAsI32(v []timing.EndpointID) []int32 {
 	return unsafe.Slice((*int32)(unsafe.Pointer(&v[0])), len(v))
 }
 
-// Read deserializes a graph written by Write, reconstructing the design from
-// the embedded netlist, validating the content hash and every slab's
+// Read deserializes a graph written by Write. After the CRC and the envelope
+// it parses the embedded netlist, requires HashOf of the parsed design and
+// the stored model to equal the header's hash, and validates every slab's
 // structural consistency. It returns the graph and its content hash.
 func Read(r io.Reader) (*timing.Graph, Hash, error) {
 	dec, h, err := load(r)
@@ -259,12 +256,16 @@ func Read(r io.Reader) (*timing.Graph, Hash, error) {
 	if err != nil {
 		return nil, Hash{}, err
 	}
-	if got := hashOfBytes(nlText, m); got != h {
-		return nil, Hash{}, fmt.Errorf("graphio: content hash mismatch: header %s, payload %s", h, got)
-	}
 	d, err := netio.Read(bytes.NewReader(nlText))
 	if err != nil {
 		return nil, Hash{}, fmt.Errorf("graphio: embedded netlist: %w", err)
+	}
+	got, err := HashOf(d, m)
+	if err != nil {
+		return nil, Hash{}, err
+	}
+	if got != h {
+		return nil, Hash{}, fmt.Errorf("graphio: content hash mismatch: header %s, payload %s", h, got)
 	}
 	if len(d.Pins) != np || len(d.Cells) != nc || len(d.Nets) != nn || len(d.FFs) != nf {
 		return nil, Hash{}, fmt.Errorf("graphio: meta counts do not match the embedded netlist")

@@ -276,6 +276,26 @@ func TestCorruptionRejected(t *testing.T) {
 	mustFailRead(t, "tiny", blob[:10])
 }
 
+// TestVersion2Rejected: a version-2 artifact stored sha256 of the netlist
+// text as its hash, so it must fail on its version, not on a hash mismatch.
+func TestVersion2Rejected(t *testing.T) {
+	d, m, g := mustCompile(t, 6)
+	blob := encode(t, g)
+	binary.LittleEndian.PutUint32(blob[4:], 2)
+	blob = refit(blob)
+	const want = "unsupported version 2 (want 3)"
+	if _, _, err := graphio.Read(bytes.NewReader(blob)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Read: %v, want %q", err, want)
+	}
+	h, err := graphio.HashOf(d, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := graphio.DecodeVerified(blob, d, m, h); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("DecodeVerified: %v, want %q", err, want)
+	}
+}
+
 // sectionBoundaries walks the section headers and returns every offset at
 // which a section begins, plus the offset just past the last section.
 func sectionBoundaries(t *testing.T, blob []byte) []int {

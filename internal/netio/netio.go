@@ -36,11 +36,12 @@ package netio
 import (
 	"bufio"
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"unicode"
@@ -51,65 +52,96 @@ import (
 	"iterskew/internal/netlist"
 )
 
-// Write serializes d to w. It builds the whole text in one buffer with
-// strconv appends rather than fmt — Write sits on the content-hashing hot
-// path (graphio.HashOf serializes the netlist per hash), so the reflective
-// fmt machinery is measurable overhead at superblue scale.
+// Write serializes d to w in the format above. It builds the whole text in
+// one buffer with strconv appends rather than fmt and hands it to w in one
+// call, so a bytes.Buffer receiving it is sized once to the text.
 func Write(w io.Writer, d *netlist.Design) error {
-	b := make([]byte, 0, 64+32*len(d.Cells)+48*len(d.Nets))
-	g := func(v float64) { b = strconv.AppendFloat(b, v, 'g', -1, 64) }
-	i := func(v int) { b = strconv.AppendInt(b, int64(v), 10) }
+	e := walker{w: w, b: make([]byte, 0, 64+32*len(d.Cells)+48*len(d.Nets)), flushAt: math.MaxInt}
+	return e.walk(d)
+}
 
-	b = append(b, "iterskew-netlist v1\ndesign "...)
-	b = append(b, sanitize(d.Name)...)
-	b = append(b, "\nperiod "...)
-	g(d.Period)
-	b = append(b, "\nportlatency "...)
-	g(d.PortLatency)
-	b = append(b, '\n')
+// WriteBinary writes to w the bytes Write would, except that every number is
+// binary: a float64 as its 8 little-endian IEEE bytes, an int as a zigzag
+// varint. Read cannot parse it; it is the input graphio.HashOf hashes, on
+// every upload, so it formats no number and streams to w in chunks of about
+// 32 KB instead of holding the design. Two designs give equal WriteBinary
+// bytes exactly when they give equal Write text (NaN aside, which Read
+// rejects): both encodings are injective over the same fields, since the
+// floats are fixed width, varints are prefix-free, and sanitized names hold
+// no separator.
+func WriteBinary(w io.Writer, d *netlist.Design) error {
+	e := walker{w: w, b: make([]byte, 0, chunk+chunk/8), bin: true, flushAt: chunk}
+	return e.walk(d)
+}
+
+// chunk is the buffer length at which WriteBinary hands its bytes to w.
+const chunk = 32 << 10
+
+// walker is Write's and WriteBinary's one field walk: it appends a design's
+// fields to b and hands b to w whenever it holds flushAt bytes, and at the
+// end. bin selects the number encoding, the only difference in the bytes.
+type walker struct {
+	w       io.Writer
+	b       []byte
+	bin     bool
+	flushAt int
+	err     error
+}
+
+func (e *walker) walk(d *netlist.Design) error {
+	e.str("iterskew-netlist v1\ndesign ")
+	e.str(sanitize(d.Name))
+	e.str("\nperiod ")
+	e.float(d.Period)
+	e.str("\nportlatency ")
+	e.float(d.PortLatency)
+	e.byte('\n')
 	if !d.Die.Empty() {
-		b = append(b, "die "...)
-		g(d.Die.Lo.X)
-		b = append(b, ' ')
-		g(d.Die.Lo.Y)
-		b = append(b, ' ')
-		g(d.Die.Hi.X)
-		b = append(b, ' ')
-		g(d.Die.Hi.Y)
-		b = append(b, '\n')
+		e.str("die ")
+		e.float(d.Die.Lo.X)
+		e.byte(' ')
+		e.float(d.Die.Lo.Y)
+		e.byte(' ')
+		e.float(d.Die.Hi.X)
+		e.byte(' ')
+		e.float(d.Die.Hi.Y)
+		e.byte('\n')
 	}
-	b = append(b, "maxdisp "...)
-	g(d.MaxDisp)
-	b = append(b, "\nlcbmaxfanout "...)
-	i(d.LCBMaxFanout)
-	b = append(b, "\ncells "...)
-	i(len(d.Cells))
-	b = append(b, '\n')
+	e.str("maxdisp ")
+	e.float(d.MaxDisp)
+	e.str("\nlcbmaxfanout ")
+	e.int(d.LCBMaxFanout)
+	e.str("\ncells ")
+	e.int(len(d.Cells))
+	e.byte('\n')
 	for ci := range d.Cells {
 		c := &d.Cells[ci]
-		b = append(b, c.Type.Name...)
-		b = append(b, ' ')
-		b = append(b, sanitize(c.Name)...)
-		b = append(b, ' ')
-		g(c.Pos.X)
-		b = append(b, ' ')
-		g(c.Pos.Y)
-		b = append(b, '\n')
+		e.str(c.Type.Name)
+		e.byte(' ')
+		e.str(sanitize(c.Name))
+		e.byte(' ')
+		e.float(c.Pos.X)
+		e.byte(' ')
+		e.float(c.Pos.Y)
+		e.byte('\n')
+		e.flush(false)
 	}
 
 	for _, kv := range sortedDelays(d.InDelay) {
-		b = append(b, "indelay "...)
-		i(int(kv.c))
-		b = append(b, ' ')
-		g(kv.v)
-		b = append(b, '\n')
+		e.str("indelay ")
+		e.int(int(kv.c))
+		e.byte(' ')
+		e.float(kv.v)
+		e.byte('\n')
+		e.flush(false)
 	}
 	for _, kv := range sortedDelays(d.OutDelay) {
-		b = append(b, "outdelay "...)
-		i(int(kv.c))
-		b = append(b, ' ')
-		g(kv.v)
-		b = append(b, '\n')
+		e.str("outdelay ")
+		e.int(int(kv.c))
+		e.byte(' ')
+		e.float(kv.v)
+		e.byte('\n')
+		e.flush(false)
 	}
 
 	// Pin index within its owning cell, precomputed so each net pin is O(1)
@@ -121,33 +153,71 @@ func Write(w io.Writer, d *netlist.Design) error {
 		}
 	}
 
-	b = append(b, "nets "...)
-	i(len(d.Nets))
-	b = append(b, '\n')
+	e.str("nets ")
+	e.int(len(d.Nets))
+	e.byte('\n')
 	for ni := range d.Nets {
 		n := &d.Nets[ni]
-		b = append(b, sanitize(n.Name)...)
+		e.str(sanitize(n.Name))
 		if n.IsClock {
-			b = append(b, " 1 "...)
+			e.str(" 1 ")
 		} else {
-			b = append(b, " 0 "...)
+			e.str(" 0 ")
 		}
-		i(1 + len(n.Sinks))
-		writePin := func(p netlist.PinID) {
-			b = append(b, ' ')
-			i(int(d.Pins[p].Cell))
-			b = append(b, ':')
-			i(int(pinIdx[p]))
-		}
-		writePin(n.Driver)
+		e.int(1 + len(n.Sinks))
+		e.pin(d, pinIdx, n.Driver)
 		for _, s := range n.Sinks {
-			writePin(s)
+			e.pin(d, pinIdx, s)
+			e.flush(false)
 		}
-		b = append(b, '\n')
+		e.byte('\n')
 	}
-	b = append(b, "end\n"...)
-	_, err := w.Write(b)
-	return err
+	e.str("end\n")
+	e.flush(true)
+	return e.err
+}
+
+// pin appends a net pin as <cell>:<index in the cell's pin list>.
+func (e *walker) pin(d *netlist.Design, pinIdx []int32, p netlist.PinID) {
+	e.byte(' ')
+	e.int(int(d.Pins[p].Cell))
+	e.byte(':')
+	e.int(int(pinIdx[p]))
+}
+
+func (e *walker) str(s string) { e.b = append(e.b, s...) }
+
+func (e *walker) byte(c byte) { e.b = append(e.b, c) }
+
+// float appends v as strconv's shortest round-trip text, or as its 8
+// little-endian IEEE bytes.
+func (e *walker) float(v float64) {
+	if e.bin {
+		e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v))
+		return
+	}
+	e.b = strconv.AppendFloat(e.b, v, 'g', -1, 64)
+}
+
+// int appends v in decimal, or as a zigzag varint.
+func (e *walker) int(v int) {
+	if e.bin {
+		e.b = binary.AppendVarint(e.b, int64(v))
+		return
+	}
+	e.b = strconv.AppendInt(e.b, int64(v), 10)
+}
+
+// flush hands the buffer to w once it holds flushAt bytes, or always when
+// last is set. After a failed write it only empties the buffer.
+func (e *walker) flush(last bool) {
+	if len(e.b) < e.flushAt && !last {
+		return
+	}
+	if e.err == nil {
+		_, e.err = e.w.Write(e.b)
+	}
+	e.b = e.b[:0]
 }
 
 type delayKV struct {
@@ -161,7 +231,7 @@ func sortedDelays(m map[netlist.CellID]float64) []delayKV {
 	for c, v := range m {
 		out = append(out, delayKV{c, v})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].c < out[j].c })
+	slices.SortFunc(out, func(a, b delayKV) int { return cmp.Compare(a.c, b.c) })
 	return out
 }
 
