@@ -16,15 +16,14 @@ build:
 test:
 	$(GO) test ./...
 
-# The concurrency-bearing packages (worker-pool batch extraction,
-# goroutine-per-corner CornerSet updates, the shared metrics recorder, the
-# compile-once/schedule-many session engine, the context-threading flow, the
-# zero-copy graph codec whose decoded slabs are shared across sessions, and
-# the scheduler contract battery, which drives all three schedulers through
-# the shared run scaffold and probes the stop hook from extraction workers)
-# must stay race-clean. The second line runs the root-package corner-set
-# equivalence/MCMM tests, which drive the concurrent per-corner propagation
-# through the schedulers end to end.
+# The concurrency-bearing packages (goroutine-per-corner CornerSet updates,
+# the shared metrics recorder, the compile-once/schedule-many session
+# engine, the context-threading flow, the zero-copy graph codec whose
+# decoded slabs are shared across sessions, the daemon, and the scheduler
+# contract battery, which drives all three schedulers through the shared
+# run scaffold) must stay race-clean. The second line runs the root-package
+# corner-set equivalence/MCMM tests, which drive the concurrent per-corner
+# propagation through the schedulers end to end.
 race:
 	$(GO) test -race ./internal/timing ./internal/core ./internal/obs ./internal/engine ./internal/flow ./internal/graphio ./internal/serve ./internal/sched
 	$(GO) test -race -run 'Corner' .
@@ -59,20 +58,24 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Short coverage-guided runs of five fuzz targets: every scheduler and every
+# Short coverage-guided runs of seven fuzz targets: every scheduler and every
 # extraction primitive over mutated generator seeds, the netlist reader
 # against its line-scanner reference on mutated netlists, reconnection
 # trials decided on the launch→capture model against the per-trial Update,
-# and the content hash against netio.Write's text under one-field design
-# mutations. Any panic, invariant violation, unexplained optimality gap,
-# reader divergence, trial disagreement, or hash that changes when the text
-# does not (or the reverse) fails the run.
+# the content hash against netio.Write's text under one-field design
+# mutations, the graph codec on mutated artifacts, and the daemon's request
+# decoding on arbitrary uploads, job specs and handles. Any panic, invariant
+# violation, unexplained optimality gap, reader divergence, trial
+# disagreement, hash that changes when the text does not (or the reverse),
+# codec fault, or 5xx or hung request fails the run.
 fuzz-smoke:
 	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime 30s
 	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzExtract$$' -fuzztime 30s
 	$(GO) test ./internal/netio -run '^$$' -fuzz '^FuzzReadMatchesReference$$' -fuzztime 20s
 	$(GO) test ./internal/timing -run '^$$' -fuzz '^FuzzClockTrial$$' -fuzztime 20s
 	$(GO) test ./internal/graphio -run '^$$' -fuzz '^FuzzHashMatchesText$$' -fuzztime 20s
+	$(GO) test ./internal/graphio -run '^$$' -fuzz '^FuzzGraphCodec$$' -fuzztime 20s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime 20s
 
 # The differential acceptance sweep: 1000 seeded adversarial netlists, each
 # schedule checked against the independent LP oracle.
@@ -81,13 +84,13 @@ oracle-check:
 
 # End-to-end observability smoke: run cssbench with tracing and the live
 # debug server on a small bench, hit /debug/vars and /debug/pprof/ while it
-# runs, then assert the Chrome trace is well-formed with round + worker-task
-# span coverage.
+# runs, then assert the Chrome trace is well-formed with schedule, round and
+# batch-extraction span coverage.
 OBS_TMP ?= /tmp/iterskew-obs-smoke
 obs-smoke:
 	rm -rf $(OBS_TMP) && mkdir -p $(OBS_TMP)
 	$(GO) build -o $(OBS_TMP)/cssbench ./cmd/cssbench
-	$(OBS_TMP)/cssbench -scale 0.01 -workers 2 \
+	$(OBS_TMP)/cssbench -scale 0.01 \
 	    -trace $(OBS_TMP)/trace.json -events $(OBS_TMP)/events.jsonl \
 	    -httpaddr 127.0.0.1:6878 > $(OBS_TMP)/stdout.txt 2>&1 & \
 	pid=$$!; vars=fail; pprof=fail; \

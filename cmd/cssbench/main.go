@@ -29,7 +29,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -61,7 +60,6 @@ func main() {
 	sweep := flag.Bool("sweep", false, "run the O(k·m') complexity sweep (experiment E4) instead of Table I")
 	sessions := flag.Int("sessions", 0, "run the concurrent-session engine benchmark with this many sessions instead of Table I")
 	csvPath := flag.String("csv", "", "also write the per-design rows to this CSV file")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool width for batch extraction")
 	jsonPath := flag.String("json", "", "write the Table-I rows plus extraction/propagation micro-timings to this JSON file")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file (load in chrome://tracing or Perfetto)")
@@ -69,7 +67,7 @@ func main() {
 	httpAddr := flag.String("httpaddr", "", "serve net/http/pprof and expvar live counters on this address during the run")
 	progress := flag.Bool("progress", false, "print one line per scheduling round to stderr")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per flow run (0 = none): schedulers stop cooperatively and report partial results")
-	checkTrace := flag.String("checktrace", "", "validate a trace file written by -trace (round + worker span coverage) and exit")
+	checkTrace := flag.String("checktrace", "", "validate a trace file written by -trace (round + extraction span coverage) and exit")
 	saveGraph := flag.String("savegraph", "", "compile the first selected design and write the graph artifact to this file, then exit")
 	loadGraph := flag.String("loadgraph", "", "load a graph artifact for the first selected design, schedule on it, verify bit-identity against an in-process compile, then exit (non-zero on divergence)")
 	serveAddr := flag.String("serveaddr", "", "base URL of a live iterskewd daemon for the -load harness (e.g. http://127.0.0.1:8077)")
@@ -228,7 +226,7 @@ func main() {
 		var base *iterskew.FlowReport
 		for _, m := range methods {
 			rec.SetPhase(name + "/" + m.String())
-			cfg := iterskew.FlowConfig{Method: m, Workers: *workers, Recorder: rec, Log: logW}
+			cfg := iterskew.FlowConfig{Method: m, Recorder: rec, Log: logW}
 			var cancel context.CancelFunc
 			if *timeout > 0 {
 				cfg.Context, cancel = context.WithTimeout(context.Background(), *timeout)
@@ -307,9 +305,10 @@ func main() {
 	fmt.Printf("  Edge reduction Ours vs IC-CSS+: %6.2f%%\n", 100*(1-float64(ours.edges)/float64(max64(ic.edges, 1))))
 	fmt.Printf("  Total speedup Ours vs IC-CSS+ : %6.2fx\n", ratio(ic.total.Seconds(), ours.total.Seconds()))
 	fmt.Printf("  Total speedup Ours-Early vs FPM: %6.2fx\n", ratio(fpm.total.Seconds(), oursE.total.Seconds()))
+	fmt.Printf("  CSS speedup  Ours-Early vs FPM : %6.2fx\n", ratio(fpm.css.Seconds(), oursE.css.Seconds()))
 
 	if *jsonPath != "" {
-		writeJSON(*jsonPath, *scale, *workers, names, jrows, rec)
+		writeJSON(*jsonPath, *scale, names, jrows, rec)
 	}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
@@ -346,7 +345,6 @@ type rowJSON struct {
 // microJSON is one timer hot-path measurement.
 type microJSON struct {
 	Name        string  `json:"name"`
-	Workers     int     `json:"workers"`
 	Iters       int     `json:"iters"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
@@ -355,12 +353,10 @@ type microJSON struct {
 }
 
 type benchJSON struct {
-	Scale   float64     `json:"scale"`
-	Workers int         `json:"workers"`
-	CPUs    int         `json:"cpus"`
-	Note    string      `json:"note,omitempty"`
-	Rows    []rowJSON   `json:"rows"`
-	Micro   []microJSON `json:"micro"`
+	Scale float64     `json:"scale"`
+	CPUs  int         `json:"cpus"`
+	Rows  []rowJSON   `json:"rows"`
+	Micro []microJSON `json:"micro"`
 	// Phases is the per-phase wall-time and allocation breakdown recorded
 	// during the table runs (present when -trace/-events/-httpaddr enabled
 	// a recorder).
@@ -528,15 +524,7 @@ func runSessions(designs string, scale float64, n int, jsonPath string) error {
 		n, sj.SerialSec, sj.ConcurrentSec, sj.JobsPerSec, sj.StatesCreated)
 
 	if jsonPath != "" {
-		out := benchJSON{Scale: scale, CPUs: runtime.GOMAXPROCS(0), Sessions: sj}
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := writeSessions(jsonPath, sj); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", jsonPath)
@@ -546,6 +534,12 @@ func runSessions(designs string, scale float64, n int, jsonPath string) error {
 	}
 	fmt.Println("  all engine schedules byte-identical to serial references")
 	return nil
+}
+
+// writeSessions merges a -sessions run into the BENCH JSON at path: it sets
+// the sessions block and keeps every other block as the file holds it.
+func writeSessions(path string, sj *sessionsJSON) error {
+	return mergeBench(path, func(out *benchJSON) { out.Sessions = sj })
 }
 
 // runGraphArtifact is the -savegraph / -loadgraph mode: persist the first
@@ -836,7 +830,7 @@ func sameSchedule(a, b map[iterskew.CellID]float64) bool {
 
 // measure times `iters` calls of fn and derives allocs/op from the runtime
 // allocation counter (cssbench is single-goroutine outside fn itself).
-func measure(name string, workersUsed, iters int, metricName string, fn func() float64) microJSON {
+func measure(name string, iters int, metricName string, fn func() float64) microJSON {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
@@ -848,7 +842,6 @@ func measure(name string, workersUsed, iters int, metricName string, fn func() f
 	runtime.ReadMemStats(&m1)
 	return microJSON{
 		Name:        name,
-		Workers:     workersUsed,
 		Iters:       iters,
 		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(iters),
 		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(iters),
@@ -858,11 +851,10 @@ func measure(name string, workersUsed, iters int, metricName string, fn func() f
 }
 
 // writeJSON records the Table-I rows plus extraction/propagation
-// micro-timings on the first design (extraction at one worker and at the
-// requested width, the serial Update at one), so the hot paths are tracked
-// alongside the QoR table — and the per-design cold-start (compile vs
-// artifact decode) and ECO-recompile measurements.
-func writeJSON(path string, scale float64, workers int, names []string, rows []rowJSON, rec *iterskew.Recorder) {
+// micro-timings on the first design, so the hot paths are tracked alongside
+// the QoR table — and the per-design cold-start (compile vs artifact decode)
+// and ECO-recompile measurements.
+func writeJSON(path string, scale float64, names []string, rows []rowJSON, rec *iterskew.Recorder) {
 	p, err := iterskew.SuperblueProfile(strings.TrimSpace(names[0]), scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -879,42 +871,31 @@ func writeJSON(path string, scale float64, workers int, names []string, rows []r
 		os.Exit(1)
 	}
 
-	out := benchJSON{Scale: scale, Workers: workers, CPUs: runtime.GOMAXPROCS(0), Rows: rows}
+	out := benchJSON{Scale: scale, CPUs: runtime.GOMAXPROCS(0), Rows: rows}
 	if rec != nil {
 		out.Phases = rec.Phases()
-	}
-	if out.CPUs == 1 {
-		out.Note = "single-CPU host: worker widths > 1 measure pool overhead only; " +
-			"results are bit-identical at any width, compare widths on a multi-core host"
-	}
-	widths := []int{1}
-	if workers > 1 {
-		widths = append(widths, workers)
 	}
 
 	viol := tm.ViolatedEndpoints(timing.Late, nil)
 	var edgeBuf []timing.SeqEdge
 	const iters = 20
-	for _, w := range widths {
-		w := w
-		out.Micro = append(out.Micro, measure("extract_essential_batch", w, iters, "edges", func() float64 {
-			edgeBuf = tm.ExtractEssentialBatch(viol, timing.Late, 0, w, edgeBuf[:0])
-			return float64(len(edgeBuf))
-		}))
-		out.Micro = append(out.Micro, measure("extract_all_from_batch", w, iters, "edges", func() float64 {
-			edgeBuf = tm.ExtractAllFromBatch(d.FFs, timing.Late, w, edgeBuf[:0])
-			return float64(len(edgeBuf))
-		}))
-	}
+	out.Micro = append(out.Micro, measure("extract_essential_batch", iters, "edges", func() float64 {
+		edgeBuf = tm.ExtractEssentialBatch(viol, timing.Late, 0, 0, edgeBuf[:0])
+		return float64(len(edgeBuf))
+	}))
+	out.Micro = append(out.Micro, measure("extract_all_from_batch", iters, "edges", func() float64 {
+		edgeBuf = tm.ExtractAllFromBatch(d.FFs, timing.Late, 0, edgeBuf[:0])
+		return float64(len(edgeBuf))
+	}))
 	i := 0
-	out.Micro = append(out.Micro, measure("incremental_update", 1, iters, "pins", func() float64 {
+	out.Micro = append(out.Micro, measure("incremental_update", iters, "pins", func() float64 {
 		for j := i % 5; j < len(d.FFs); j += 5 {
 			tm.SetExtraLatency(d.FFs[j], float64((i+j)%23))
 		}
 		i++
 		return float64(tm.Update())
 	}))
-	out.Micro = append(out.Micro, measure("full_propagation_csr", 1, iters, "pins", func() float64 {
+	out.Micro = append(out.Micro, measure("full_propagation_csr", iters, "pins", func() float64 {
 		tm.FullUpdate()
 		return float64(len(d.Pins))
 	}))
@@ -961,7 +942,7 @@ func writeTableI(path string, run benchJSON) error {
 
 // validateTrace decodes a -trace output file and asserts the coverage the
 // obs-smoke CI target relies on: a well-formed Chrome trace envelope with
-// spans for the scheduling rounds and the extraction worker tasks.
+// spans for the schedules, their rounds and the batch extractions.
 func validateTrace(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -973,14 +954,14 @@ func validateTrace(path string) error {
 		return err
 	}
 	rounds := tf.SpanCount("css.round")
-	workers := tf.SpanCount("extract.worker")
+	batches := tf.SpanCount("extract.batch")
 	scheds := tf.SpanCount("css.schedule")
-	if rounds == 0 || workers == 0 || scheds == 0 {
-		return fmt.Errorf("checktrace %s: want >=1 of each span, got css.round=%d extract.worker=%d css.schedule=%d",
-			path, rounds, workers, scheds)
+	if rounds == 0 || batches == 0 || scheds == 0 {
+		return fmt.Errorf("checktrace %s: want >=1 of each span, got css.round=%d extract.batch=%d css.schedule=%d",
+			path, rounds, batches, scheds)
 	}
-	fmt.Printf("%s ok: %d events, css.schedule=%d css.round=%d extract.worker=%d\n",
-		path, len(tf.TraceEvents), scheds, rounds, workers)
+	fmt.Printf("%s ok: %d events, css.schedule=%d css.round=%d extract.batch=%d\n",
+		path, len(tf.TraceEvents), scheds, rounds, batches)
 	return nil
 }
 

@@ -94,7 +94,7 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 			violBuf = tm.ViolatedEndpoints(opts.Mode, violBuf[:0])
 		}
 		// Filter to the newly violated endpoints first, then trace all of
-		// them in one batch so the worker pool sees the whole round's work.
+		// them in one batch.
 		traceBuf = traceBuf[:0]
 		for _, e := range violBuf {
 			s := tm.Slack(e, opts.Mode)
@@ -104,7 +104,7 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 			traceBuf = append(traceBuf, e)
 			lastExtract[e] = s
 		}
-		edgeBuf = tm.ExtractEssentialBatch(traceBuf, opts.Mode, opts.Margin, opts.Workers, edgeBuf[:0])
+		edgeBuf = tm.ExtractEssentialBatch(traceBuf, opts.Mode, opts.Margin, 0, edgeBuf[:0])
 		added := run.AddEdges(edgeBuf)
 		esp.EndArg2("traced", int64(len(traceBuf)), "added", int64(added))
 		return added

@@ -80,10 +80,6 @@ type Config struct {
 	// optimization" future work) after the late stage.
 	EnableSizing bool
 	Resize       opt.ResizeOptions
-	// Workers sets the schedulers' batch-extraction width (sched.Options).
-	// 0 means serial; negative means GOMAXPROCS. Results are identical at
-	// any width.
-	Workers int
 	// SkipOpt skips the §IV physical realization after each CSS stage (and
 	// the optional sizing pass): a timing-only run that leaves the computed
 	// latencies applied predictively and never mutates the design — so Run
@@ -350,7 +346,7 @@ func runStage(tm *timing.State, rep *Report, cfg Config, mode timing.Mode, phase
 	var targets map[netlist.CellID]float64
 	switch cfg.Method {
 	case ICCSSPlus:
-		res, err := iccss.Schedule(tm, iccss.Options{Mode: mode, MaxRounds: cfg.MaxRounds, Workers: cfg.Workers, Context: cfg.Context})
+		res, err := iccss.Schedule(tm, iccss.Options{Mode: mode, MaxRounds: cfg.MaxRounds, Context: cfg.Context})
 		if err != nil {
 			return err
 		}
@@ -358,7 +354,7 @@ func runStage(tm *timing.State, rep *Report, cfg Config, mode timing.Mode, phase
 		rep.StopReason = res.StopReason
 		targets = res.Target
 	default:
-		res, err := core.Schedule(tm, core.Options{Mode: mode, MaxRounds: cfg.MaxRounds, Margin: cfg.Margin, Workers: cfg.Workers, Log: cfg.Log, Context: cfg.Context})
+		res, err := core.Schedule(tm, core.Options{Mode: mode, MaxRounds: cfg.MaxRounds, Margin: cfg.Margin, Log: cfg.Log, Context: cfg.Context})
 		if err != nil {
 			return err
 		}

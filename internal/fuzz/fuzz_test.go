@@ -173,11 +173,8 @@ func checkExtraction(t *testing.T, seed int64) {
 			t.Errorf("seed %d %v: per-source extraction found %d edges, oracle graph has %d", seed, mode, matched, len(want))
 		}
 
-		for _, w := range []int{1, 3, 8} {
-			batch := tm.ExtractAllFromBatch(launches, mode, w, nil)
-			if !equalEdges(batch, serial) {
-				t.Errorf("seed %d %v: batch extraction (workers=%d) differs from serial", seed, mode, w)
-			}
+		if batch := tm.ExtractAllFromBatch(launches, mode, 0, nil); !equalEdges(batch, serial) {
+			t.Errorf("seed %d %v: batch extraction differs from per-source", seed, mode)
 		}
 
 		into := 0
@@ -225,11 +222,8 @@ func checkExtraction(t *testing.T, seed int64) {
 				}
 			}
 		}
-		for _, w := range []int{1, 3, 8} {
-			batch := tm.ExtractEssentialBatch(endpoints, mode, margin, w, nil)
-			if !equalEdges(batch, essSerial) {
-				t.Errorf("seed %d %v: essential batch (workers=%d) differs from serial", seed, mode, w)
-			}
+		if batch := tm.ExtractEssentialBatch(endpoints, mode, margin, 0, nil); !equalEdges(batch, essSerial) {
+			t.Errorf("seed %d %v: essential batch differs from per-endpoint", seed, mode)
 		}
 	}
 

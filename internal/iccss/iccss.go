@@ -37,8 +37,8 @@ const eps = 1e-6
 
 // Options configures an IC-CSS+ run: the shared scheduler options. IC-CSS+
 // consumes Mode, Context/Deadline, MaxRounds, StallRounds, LatencyUB,
-// Workers, Recorder, Progress and Log; the remaining fields (Margin,
-// LatencyLB, DisableHeadroom) are core-specific and ignored here.
+// Recorder, Progress and Log; the remaining fields (Margin, LatencyLB,
+// DisableHeadroom) are core-specific and ignored here.
 type Options = sched.Options
 
 // Result is the shared scheduler result; IC-CSS+ additionally fills
@@ -131,9 +131,8 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 	// involved in a violation under the current latencies has its complete
 	// edge set pulled in. Criticality depends only on state fixed before the
 	// round (d^out, applied latencies, the early snapshot), so the round's
-	// critical set is collected first and traced as one batch — the timer
-	// fans the full-cone traces out to the worker pool with results
-	// identical to the serial per-vertex loop.
+	// critical set is collected first and traced as one batch, with results
+	// identical to the per-vertex loop.
 	extractCritical := func() int {
 		critBuf = critBuf[:0]
 		if opts.Mode == timing.Late {
@@ -155,7 +154,7 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 				extractedFull[u] = true
 				critBuf = append(critBuf, u)
 			}
-			edgeBuf = tm.ExtractAllFromBatch(critBuf, timing.Late, opts.Workers, edgeBuf[:0])
+			edgeBuf = tm.ExtractAllFromBatch(critBuf, timing.Late, 0, edgeBuf[:0])
 		} else {
 			for _, ff := range d.FFs {
 				if extractedFull[ff] {
@@ -168,7 +167,7 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 				extractedFull[ff] = true
 				critBuf = append(critBuf, ff)
 			}
-			edgeBuf = tm.ExtractAllIntoBatch(critBuf, timing.Early, opts.Workers, edgeBuf[:0])
+			edgeBuf = tm.ExtractAllIntoBatch(critBuf, timing.Early, 0, edgeBuf[:0])
 		}
 		res.CriticalVerts += len(critBuf)
 		rec.Add(obs.CtrCriticalVerts, int64(len(critBuf)))

@@ -164,7 +164,7 @@ type Recorder struct {
 }
 
 // paddedInt64 spaces the per-counter atomics a cache line apart so unrelated
-// counters bumped from different worker goroutines don't false-share.
+// counters bumped from concurrent sessions' goroutines don't false-share.
 type paddedInt64 struct {
 	v int64
 	_ [56]byte

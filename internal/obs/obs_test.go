@@ -25,7 +25,6 @@ func TestNilRecorderNoOps(t *testing.T) {
 	}
 	sp := r.StartSpan(SpanRound)
 	sp.End()
-	r.WorkerSpan(SpanExtractWorker, 3).EndArg("roots", 1)
 	r.NamedSpan("x").EndArg2("a", 1, "b", 2)
 	r.Instant("marker", "v", 1)
 	r.Emit(Event{Type: "round"})
@@ -55,7 +54,6 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		nilRec.SetGauge(GaugeGraphEdges, 9)
 		sp := nilRec.StartSpan(SpanTimerUpdate)
 		sp.EndArg2("pins", 3, "levels", 1)
-		nilRec.WorkerSpan(SpanExtractWorker, 1).EndArg("roots", 2)
 		nilRec.Emit(Event{Type: "round"})
 	}); n != 0 {
 		t.Fatalf("nil-recorder hooks allocate %v allocs/op, want 0", n)
@@ -116,23 +114,23 @@ func TestConcurrentCounters(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func(tid int32) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				r.Add(CtrExtractEdges, 1)
 				r.SetGauge(GaugeGraphEdges, int64(i))
-				sp := r.WorkerSpan(SpanExtractWorker, tid)
+				sp := r.StartSpan(SpanExtractBatch)
 				sp.EndArg("roots", int64(i))
 				r.Emit(Event{Type: "round", Round: i})
 			}
-		}(int32(g + 1))
+		}()
 	}
 	wg.Wait()
 	if got, want := r.Counter(CtrExtractEdges), int64(goroutines*iters); got != want {
 		t.Fatalf("CtrExtractEdges = %d, want %d", got, want)
 	}
-	if got := r.Hist(SpanExtractWorker).Count; got != goroutines*iters {
-		t.Fatalf("worker span count = %d, want %d", got, goroutines*iters)
+	if got := r.Hist(SpanExtractBatch).Count; got != goroutines*iters {
+		t.Fatalf("batch span count = %d, want %d", got, goroutines*iters)
 	}
 	var sb strings.Builder
 	if err := r.WriteTrace(&sb); err != nil {
@@ -142,8 +140,8 @@ func TestConcurrentCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tf.SpanCount("extract.worker"); got != goroutines*iters {
-		t.Fatalf("traced worker spans = %d, want %d", got, goroutines*iters)
+	if got := tf.SpanCount("extract.batch"); got != goroutines*iters {
+		t.Fatalf("traced batch spans = %d, want %d", got, goroutines*iters)
 	}
 }
 

@@ -19,7 +19,6 @@ const (
 	SpanTimerUpdate     SpanKind = iota // one incremental State.Update
 	SpanTimerFullUpdate                 // one FullUpdate
 	SpanExtractBatch                    // one batch extraction call
-	SpanExtractWorker                   // one worker's share of a batch
 	SpanRound                           // one update-extract scheduling round
 	SpanRoundExtract                    // the round's essential-edge extraction
 	SpanRoundForest                     // arborescence construction + cycle check
@@ -33,7 +32,6 @@ var spanNames = [numSpanKinds]string{
 	SpanTimerUpdate:     "timer.update",
 	SpanTimerFullUpdate: "timer.full_update",
 	SpanExtractBatch:    "extract.batch",
-	SpanExtractWorker:   "extract.worker",
 	SpanRound:           "css.round",
 	SpanRoundExtract:    "css.extract",
 	SpanRoundForest:     "css.forest",
@@ -44,7 +42,7 @@ var spanNames = [numSpanKinds]string{
 // String returns the span kind's trace name.
 func (k SpanKind) String() string { return spanNames[k] }
 
-// Span is an open interval returned by StartSpan/WorkerSpan/NamedSpan. It is
+// Span is an open interval returned by StartSpan/NamedSpan. It is
 // a plain value — copy it, pass it, and call exactly one of the End variants
 // when the work completes. The zero Span (from a nil Recorder) is inert.
 type Span struct {
@@ -52,7 +50,6 @@ type Span struct {
 	name  string // overrides spanNames[kind] when non-empty (NamedSpan)
 	req   string // request ID rendered into the trace args (WithReq)
 	kind  SpanKind
-	tid   int32
 	start time.Time
 }
 
@@ -68,22 +65,13 @@ func (s Span) WithReq(id string) Span {
 	return s
 }
 
-// StartSpan opens an enum-keyed span on the main track (tid 0). On a nil
-// Recorder it returns the inert zero Span without reading the clock.
+// StartSpan opens an enum-keyed span. On a nil Recorder it returns the inert
+// zero Span without reading the clock.
 func (r *Recorder) StartSpan(k SpanKind) Span {
 	if r == nil {
 		return Span{}
 	}
 	return Span{r: r, kind: k, start: time.Now()}
-}
-
-// WorkerSpan opens an enum-keyed span on a worker track; tid 1..N renders
-// each pool worker as its own lane in chrome://tracing.
-func (r *Recorder) WorkerSpan(k SpanKind, tid int32) Span {
-	if r == nil {
-		return Span{}
-	}
-	return Span{r: r, kind: k, tid: tid, start: time.Now()}
 }
 
 // NamedSpan opens a dynamically named span (no histogram; cold paths only).
@@ -123,7 +111,6 @@ func (s Span) end(nargs int, n1 string, v1 int64, n2 string, v2 int64) {
 	ev := traceEvent{
 		name: name,
 		req:  s.req,
-		tid:  s.tid,
 		ts:   s.start,
 		dur:  d,
 	}
@@ -162,7 +149,6 @@ func (r *Recorder) Instant(name string, argName string, arg int64) {
 type traceEvent struct {
 	name           string
 	req            string // request ID ("" = not request-scoped)
-	tid            int32
 	ts             time.Time
 	dur            time.Duration
 	instant        bool
@@ -172,25 +158,22 @@ type traceEvent struct {
 
 // Tracer buffers trace events in memory; WriteTrace serializes them. The
 // in-memory model keeps the record path to an append under a mutex — spans
-// from worker goroutines interleave safely and the file is written once,
-// complete and well-formed, at the end of the run.
+// from concurrent sessions interleave safely and the file is written once,
+// complete and well-formed, at the end of the run. Every event renders on
+// one lane, named "scheduler".
 type Tracer struct {
 	mu     sync.Mutex
 	epoch  time.Time
 	events []traceEvent
-	tids   map[int32]bool
 }
 
 func newTracer() *Tracer {
-	return &Tracer{epoch: time.Now(), tids: map[int32]bool{0: true}}
+	return &Tracer{epoch: time.Now()}
 }
 
 func (tr *Tracer) add(ev traceEvent) {
 	tr.mu.Lock()
 	tr.events = append(tr.events, ev)
-	if !tr.tids[ev.tid] {
-		tr.tids[ev.tid] = true
-	}
 	tr.mu.Unlock()
 }
 
@@ -223,27 +206,13 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 	tr.mu.Lock()
 	events := make([]traceEvent, len(tr.events))
 	copy(events, tr.events)
-	tids := make([]int32, 0, len(tr.tids))
-	for tid := range tr.tids {
-		tids = append(tids, tid)
-	}
 	epoch := tr.epoch
 	tr.mu.Unlock()
 
-	out := TraceFile{DisplayTimeUnit: "ms"}
-	for _, tid := range tids {
-		name := "scheduler"
-		if tid > 0 {
-			name = fmt.Sprintf("worker-%d", tid)
-		}
-		out.TraceEvents = append(out.TraceEvents, TraceEvent{
-			Name: "thread_name", Ph: "M", PID: 1, TID: int(tid),
-			Args: map[string]any{"name": name},
-		})
-	}
-	// Metadata order is map-iteration-random; keep the data events in record
-	// order after them so the file is deterministic given the run.
-	sortMetadata(out.TraceEvents)
+	out := TraceFile{DisplayTimeUnit: "ms", TraceEvents: []TraceEvent{{
+		Name: "thread_name", Ph: "M", PID: 1,
+		Args: map[string]any{"name": "scheduler"},
+	}}}
 	for _, ev := range events {
 		te := TraceEvent{
 			Name: ev.name,
@@ -251,7 +220,6 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 			TS:   ev.ts.Sub(epoch).Microseconds(),
 			Dur:  ev.dur.Microseconds(),
 			PID:  1,
-			TID:  int(ev.tid),
 		}
 		if ev.instant {
 			te.Ph = "i"
@@ -275,14 +243,6 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-func sortMetadata(evs []TraceEvent) {
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && evs[j].TID < evs[j-1].TID; j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
-}
-
 // DecodeTrace parses a Chrome trace_event file produced by WriteTrace (or
 // any tool emitting the object form). It validates the envelope shape and
 // that every event carries a phase.
@@ -301,7 +261,7 @@ func DecodeTrace(rd io.Reader) (*TraceFile, error) {
 }
 
 // SpanCount returns how many complete ("X") events named name the trace
-// holds — the smoke checks use it to assert round and worker coverage.
+// holds — the smoke checks use it to assert round and extraction coverage.
 func (tf *TraceFile) SpanCount(name string) int {
 	n := 0
 	for _, ev := range tf.TraceEvents {

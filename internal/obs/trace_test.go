@@ -7,8 +7,9 @@ import (
 	"time"
 )
 
-// TestTraceRoundTrip records spans on several lanes and checks the written
-// Chrome trace decodes through the in-repo decoder with every record intact.
+// TestTraceRoundTrip records spans and checks the written Chrome trace
+// decodes through the in-repo decoder with every record intact, on the one
+// scheduler lane.
 func TestTraceRoundTrip(t *testing.T) {
 	r := NewRecorder().EnableTrace()
 
@@ -16,8 +17,8 @@ func TestTraceRoundTrip(t *testing.T) {
 		sp := r.StartSpan(SpanRound)
 		sp.EndArg2("new_edges", int64(i), "raised", int64(2*i))
 	}
-	r.WorkerSpan(SpanExtractWorker, 1).EndArg("roots", 5)
-	r.WorkerSpan(SpanExtractWorker, 2).EndArg("roots", 7)
+	r.StartSpan(SpanExtractBatch).EndArg("roots", 5)
+	r.StartSpan(SpanExtractBatch).EndArg("roots", 7)
 	r.NamedSpan("late-css").End()
 	r.Instant("css.cycle_frozen", "len", 4)
 
@@ -33,26 +34,25 @@ func TestTraceRoundTrip(t *testing.T) {
 	if got := tf.SpanCount("css.round"); got != 3 {
 		t.Fatalf("css.round spans = %d, want 3", got)
 	}
-	if got := tf.SpanCount("extract.worker"); got != 2 {
-		t.Fatalf("extract.worker spans = %d, want 2", got)
+	if got := tf.SpanCount("extract.batch"); got != 2 {
+		t.Fatalf("extract.batch spans = %d, want 2", got)
 	}
 	if got := tf.SpanCount("late-css"); got != 1 {
 		t.Fatalf("named spans = %d, want 1", got)
 	}
 
-	// Thread-name metadata for the scheduler lane and both worker lanes, in
-	// TID order at the head of the file.
-	wantLanes := map[int]string{0: "scheduler", 1: "worker-1", 2: "worker-2"}
+	// One thread-name record, for the scheduler lane, at the head of the
+	// file; every event sits on that lane.
+	if ev := tf.TraceEvents[0]; ev.Ph != "M" || ev.Name != "thread_name" || ev.Args["name"] != "scheduler" {
+		t.Fatalf("first event = %+v, want the scheduler lane's thread_name", ev)
+	}
 	var lanes, instants int
 	for _, ev := range tf.TraceEvents {
+		if ev.TID != 0 {
+			t.Fatalf("event %q on tid %d, want the scheduler lane", ev.Name, ev.TID)
+		}
 		switch ev.Ph {
 		case "M":
-			if ev.Name != "thread_name" {
-				t.Fatalf("unexpected metadata event %q", ev.Name)
-			}
-			if want := wantLanes[ev.TID]; ev.Args["name"] != want {
-				t.Fatalf("tid %d named %v, want %q", ev.TID, ev.Args["name"], want)
-			}
 			lanes++
 		case "i":
 			instants++
@@ -61,8 +61,8 @@ func TestTraceRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if lanes != 3 {
-		t.Fatalf("thread_name lanes = %d, want 3", lanes)
+	if lanes != 1 {
+		t.Fatalf("thread_name lanes = %d, want 1", lanes)
 	}
 	if instants != 1 {
 		t.Fatalf("instant events = %d, want 1", instants)

@@ -189,8 +189,7 @@ func (c *countdownCtx) Err() error {
 }
 
 // TestCancellationContract verifies the Context/Deadline part of the
-// contract at Workers: 2, so batch-extraction goroutines probe the stop
-// hook. However the run is stopped — a context cancelled or a deadline
+// contract. However the run is stopped — a context cancelled or a deadline
 // passed before it starts, a cancel from Progress at round 1, or one that
 // lands inside an Update or extraction batch — it returns a consistent
 // partial result: every flip-flop's applied latency equals its Target and a
@@ -240,7 +239,7 @@ func TestCancellationContract(t *testing.T) {
 				tm := contractTimer(t, d.Clone())
 				var probes atomic.Int64
 				tm.SetCheck(func() bool { probes.Add(1); return false })
-				opts := sched.Options{Mode: tc.mode, Workers: 2, StallRounds: -1}
+				opts := sched.Options{Mode: tc.mode, StallRounds: -1}
 				c.set(&opts)
 				res, err := tc.s.Schedule(tm, opts)
 				if err != nil {

@@ -107,8 +107,9 @@ func (r *Run) AddEdges(edges []timing.SeqEdge) int {
 }
 
 // stop is the run's stop hook: it reports whether Options.Context or
-// Deadline has fired. The timer's batch-extraction workers call it
-// concurrently.
+// Deadline has fired. The timer probes it between Update's level buckets
+// and before each batch-extraction root; a CornerSet's per-corner Updates
+// probe it concurrently.
 func (r *Run) stop() bool {
 	if ctx := r.opts.Context; ctx != nil && ctx.Err() != nil {
 		return true

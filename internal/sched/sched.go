@@ -101,8 +101,9 @@ type Options struct {
 	// runs Early first, then Late; §V).
 	Mode timing.Mode
 	// Context, when non-nil, cancels the run cooperatively: the schedulers
-	// check it at round boundaries (and the timer checks it at level-bucket /
-	// batch-root granularity), stop, and return a CONSISTENT partial result —
+	// check it at round boundaries (and the timer checks it between level
+	// buckets of an Update and before each root of a batch extraction),
+	// stop, and return a CONSISTENT partial result —
 	// Result.Target always matches the latencies actually applied on the
 	// timer, with propagation fully drained, so a cancelled session is a
 	// usable anytime answer. Cancellation is not an error: Schedule returns
@@ -140,9 +141,6 @@ type Options struct {
 	// when the TNS is momentarily flat. 0 means the default of 3; negative
 	// disables the guard.
 	StallRounds int
-	// Workers sets the worker-pool width of the batch extractors. 0 means
-	// serial; negative means GOMAXPROCS. Results are identical at any width.
-	Workers int
 	// Recorder optionally instruments the run: round spans, extraction and
 	// clamp counters, and per-round JSONL events (see internal/obs). nil
 	// falls back to the timer's installed recorder; if that is nil too, the
@@ -347,7 +345,9 @@ type TimingView interface {
 	WNSTNS(m timing.Mode) (wns, tns float64)
 	EdgeSlack(e timing.SeqEdge) float64
 
-	// Essential-edge extraction (union over corners).
+	// Essential-edge extraction (union over corners). Extraction is serial:
+	// the schedulers pass 0 as each batch method's workers argument, and
+	// the timing implementations ignore it.
 	ExtractEssentialBatch(endpoints []timing.EndpointID, m timing.Mode, margin float64, workers int, dst []timing.SeqEdge) []timing.SeqEdge
 	ExtractAllFrom(launch netlist.CellID, m timing.Mode, dst []timing.SeqEdge) []timing.SeqEdge
 	ExtractAllInto(capture netlist.CellID, m timing.Mode, dst []timing.SeqEdge) []timing.SeqEdge

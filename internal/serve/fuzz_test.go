@@ -15,10 +15,15 @@ import (
 	"net/url"
 	"sync"
 	"testing"
+	"time"
 
 	"iterskew/internal/fuzz"
 	"iterskew/internal/serve"
 )
+
+// fuzzClient bounds every request: a handler that hangs fails the input
+// with a transport error instead of stalling the fuzzer.
+var fuzzClient = &http.Client{Timeout: 10 * time.Second}
 
 var fuzzSrv struct {
 	once   sync.Once
@@ -44,7 +49,7 @@ func fuzzServer(t testing.TB) (*httptest.Server, string) {
 			fuzzSrv.err = err
 			return
 		}
-		resp, err := http.Post(fuzzSrv.ts.URL+"/v1/graphs", "text/plain", bytes.NewReader(netText(t, d)))
+		resp, err := fuzzClient.Post(fuzzSrv.ts.URL+"/v1/graphs", "text/plain", bytes.NewReader(netText(t, d)))
 		if err != nil {
 			fuzzSrv.err = err
 			return
@@ -82,15 +87,15 @@ func FuzzServeRequest(f *testing.F) {
 		var err error
 		switch kind % 3 {
 		case 0: // arbitrary bytes as a netlist upload
-			resp, err = http.Post(ts.URL+"/v1/graphs", "text/plain", bytes.NewReader(data))
+			resp, err = fuzzClient.Post(ts.URL+"/v1/graphs", "text/plain", bytes.NewReader(data))
 		case 1: // arbitrary bytes as a job spec against a good handle
-			resp, err = http.Post(ts.URL+"/v1/graphs/"+handle+"/jobs", "application/json", bytes.NewReader(data))
+			resp, err = fuzzClient.Post(ts.URL+"/v1/graphs/"+handle+"/jobs", "application/json", bytes.NewReader(data))
 		default: // arbitrary bytes as the handle path segment
-			resp, err = http.Post(ts.URL+"/v1/graphs/"+url.PathEscape(string(data))+"/jobs",
+			resp, err = fuzzClient.Post(ts.URL+"/v1/graphs/"+url.PathEscape(string(data))+"/jobs",
 				"application/json", bytes.NewReader([]byte("{}")))
 		}
 		if err != nil {
-			t.Fatalf("transport error (daemon died?): %v", err)
+			t.Fatalf("transport error (daemon died or hung past the client deadline?): %v", err)
 		}
 		defer resp.Body.Close()
 		if _, err := io.Copy(io.Discard, resp.Body); err != nil {

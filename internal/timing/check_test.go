@@ -1,6 +1,7 @@
 package timing_test
 
 import (
+	"slices"
 	"testing"
 
 	"iterskew/internal/timing"
@@ -59,25 +60,38 @@ func TestSetCheckAbortsAndDrains(t *testing.T) {
 	}
 }
 
-// TestSetCheckStopsBatchExtraction: an always-stop hook makes the batch
-// extractors abandon unclaimed roots; removing it restores the full,
-// serial-identical result.
+// TestSetCheckStopsBatchExtraction: the batch extractor probes the hook
+// before each root. An always-stop hook is probed once and traces no root;
+// a hook that stops after k probes yields exactly the first k roots' edges;
+// removing the hook restores the full result.
 func TestSetCheckStopsBatchExtraction(t *testing.T) {
 	tm := genTimer(t)
 	endpoints := tm.ViolatedEndpoints(timing.Late, nil)
 	if len(endpoints) < 4 {
 		t.Fatalf("only %d violated endpoints; fixture too small", len(endpoints))
 	}
-	full := tm.ExtractEssentialBatch(endpoints, timing.Late, 0, 4, nil)
+	full := tm.ExtractEssentialBatch(endpoints, timing.Late, 0, 0, nil)
 
-	tm.SetCheck(func() bool { return true })
-	aborted := tm.ExtractEssentialBatch(endpoints, timing.Late, 0, 4, nil)
-	if len(aborted) >= len(full) {
-		t.Fatalf("always-stop hook still traced %d of %d edges", len(aborted), len(full))
+	probes := 0
+	tm.SetCheck(func() bool { probes++; return true })
+	if aborted := tm.ExtractEssentialBatch(endpoints, timing.Late, 0, 0, nil); len(aborted) != 0 || probes != 1 {
+		t.Fatalf("always-stop hook: %d probes, %d of %d edges traced; want 1 probe and none", probes, len(aborted), len(full))
+	}
+
+	const k = 3
+	var first []timing.SeqEdge
+	for _, e := range endpoints[:k] {
+		first = tm.ExtractEssentialAt(e, timing.Late, 0, first)
+	}
+	probes = 0
+	tm.SetCheck(func() bool { probes++; return probes > k })
+	if got := tm.ExtractEssentialBatch(endpoints, timing.Late, 0, 0, nil); !slices.Equal(got, first) || probes != k+1 {
+		t.Fatalf("stop after %d probes: %d probes, %d edges; want %d probes and the first %d roots' %d edges",
+			k, probes, len(got), k+1, k, len(first))
 	}
 
 	tm.SetCheck(nil)
-	again := tm.ExtractEssentialBatch(endpoints, timing.Late, 0, 4, nil)
+	again := tm.ExtractEssentialBatch(endpoints, timing.Late, 0, 0, nil)
 	if len(again) != len(full) {
 		t.Fatalf("after removing the hook: %d edges, want %d", len(again), len(full))
 	}

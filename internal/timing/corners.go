@@ -59,7 +59,6 @@ type CornerSet struct {
 	names  []string
 	ref    int // index of the minimum-period corner (defines T_ref)
 
-	mu         sync.Mutex // guards diffRounds (extraction can run under workers)
 	diffRounds int
 
 	keys map[cornerEdgeKey]struct{} // scratch for per-call set comparison
@@ -199,11 +198,7 @@ func (cs *CornerSet) CornerWNSTNS(i int, m Mode) (wns, tns float64) {
 // UnionDiffRounds counts extraction calls in which at least two corners
 // disagreed on the essential edge set — evidence the union path did real
 // multi-corner work rather than N copies of the same extraction.
-func (cs *CornerSet) UnionDiffRounds() int {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.diffRounds
-}
+func (cs *CornerSet) UnionDiffRounds() int { return cs.diffRounds }
 
 // Design returns the shared design.
 func (cs *CornerSet) Design() *netlist.Design { return cs.g.D }
@@ -407,9 +402,9 @@ func (cs *CornerSet) SetReq(id string) {
 // ExtractEssentialBatch extracts each corner's essential edges and returns
 // their normalized union (concatenated per corner; dedup is the sequential
 // graph's job, exactly as for a single state).
-func (cs *CornerSet) ExtractEssentialBatch(endpoints []EndpointID, m Mode, margin float64, workers int, dst []SeqEdge) []SeqEdge {
+func (cs *CornerSet) ExtractEssentialBatch(endpoints []EndpointID, m Mode, margin float64, _ int, dst []SeqEdge) []SeqEdge {
 	return cs.extractUnion(dst, m, func(s *State, d []SeqEdge) []SeqEdge {
-		return s.ExtractEssentialBatch(endpoints, m, margin, workers, d)
+		return s.ExtractEssentialBatch(endpoints, m, margin, 0, d)
 	})
 }
 
@@ -428,16 +423,16 @@ func (cs *CornerSet) ExtractAllInto(capture netlist.CellID, m Mode, dst []SeqEdg
 }
 
 // ExtractAllFromBatch is the batch form of ExtractAllFrom.
-func (cs *CornerSet) ExtractAllFromBatch(launches []netlist.CellID, m Mode, workers int, dst []SeqEdge) []SeqEdge {
+func (cs *CornerSet) ExtractAllFromBatch(launches []netlist.CellID, m Mode, _ int, dst []SeqEdge) []SeqEdge {
 	return cs.extractUnion(dst, m, func(s *State, d []SeqEdge) []SeqEdge {
-		return s.ExtractAllFromBatch(launches, m, workers, d)
+		return s.ExtractAllFromBatch(launches, m, 0, d)
 	})
 }
 
 // ExtractAllIntoBatch is the batch form of ExtractAllInto.
-func (cs *CornerSet) ExtractAllIntoBatch(captures []netlist.CellID, m Mode, workers int, dst []SeqEdge) []SeqEdge {
+func (cs *CornerSet) ExtractAllIntoBatch(captures []netlist.CellID, m Mode, _ int, dst []SeqEdge) []SeqEdge {
 	return cs.extractUnion(dst, m, func(s *State, d []SeqEdge) []SeqEdge {
-		return s.ExtractAllIntoBatch(captures, m, workers, d)
+		return s.ExtractAllIntoBatch(captures, m, 0, d)
 	})
 }
 
@@ -486,9 +481,7 @@ func (cs *CornerSet) extractUnion(dst []SeqEdge, m Mode, run func(s *State, dst 
 		}
 	}
 	if differs && len(cs.states) > 1 {
-		cs.mu.Lock()
 		cs.diffRounds++
-		cs.mu.Unlock()
 	}
 	return dst
 }

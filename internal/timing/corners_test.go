@@ -160,7 +160,7 @@ func TestDuplicateCornerIsNoOp(t *testing.T) {
 	}
 	for _, m := range []Mode{Late, Early} {
 		violated := two.ViolatedEndpoints(m, nil)
-		two.ExtractEssentialBatch(violated, m, 0, 1, nil)
+		two.ExtractEssentialBatch(violated, m, 0, 0, nil)
 	}
 	if n := two.UnionDiffRounds(); n != 0 {
 		t.Fatalf("identical corners counted %d diff rounds", n)
@@ -270,7 +270,7 @@ func TestUnionDiffRoundsCountsDivergence(t *testing.T) {
 	if len(violated) == 0 {
 		t.Fatal("tight corner produced no envelope violations")
 	}
-	edges := cs.ExtractEssentialBatch(violated, Late, 0, 1, nil)
+	edges := cs.ExtractEssentialBatch(violated, Late, 0, 0, nil)
 	if len(edges) == 0 {
 		t.Fatal("union extraction returned no edges")
 	}

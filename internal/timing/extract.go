@@ -47,8 +47,7 @@ func (t *State) EdgeSlack(e SeqEdge) float64 {
 }
 
 // traceState carries the version-stamped scratch space for path tracing so
-// repeated extractions do not reallocate or clear per-pin arrays. Each batch
-// worker owns one, so extraction traces can run concurrently without sharing.
+// repeated extractions do not reallocate or clear per-pin arrays.
 //
 // found* hold the per-trace best delay per terminal cell (launch or capture),
 // stamped by the same epoch as the pin labels; foundList records discovery
@@ -118,13 +117,6 @@ func (s *traceState) note(c netlist.CellID, v float64, late bool) {
 // cannot violate, so its cost is proportional to the violating cone, not the
 // full fanin cone.
 func (t *State) ExtractEssentialAt(e EndpointID, m Mode, margin float64, dst []SeqEdge) []SeqEdge {
-	return t.extractEssential(&t.trace, &t.Stats, e, m, margin, dst)
-}
-
-// extractEssential is the reentrant core of ExtractEssentialAt: all mutable
-// state lives in st and cnt, so batch workers run it concurrently against
-// read-only timer state.
-func (t *State) extractEssential(st *traceState, cnt *Counters, e EndpointID, m Mode, margin float64, dst []SeqEdge) []SeqEdge {
 	ep := t.endpoints[e]
 	p0 := ep.Pin
 	if !t.inData[p0] {
@@ -150,6 +142,7 @@ func (t *State) extractEssential(st *traceState, cnt *Counters, e EndpointID, m 
 		der = t.dEarly
 	}
 
+	st := &t.trace
 	st.reset(len(t.D.Pins), len(t.D.Cells))
 	st.set(p0, 0)
 	st.stack = append(st.stack, p0)
@@ -169,7 +162,7 @@ func (t *State) extractEssential(st *traceState, cnt *Counters, e EndpointID, m 
 			}
 			continue
 		}
-		cnt.ExtractArcVisits += int64(len(arcs))
+		t.Stats.ExtractArcVisits += int64(len(arcs))
 		ad := t.dIn[p] * der // shared by every fanin arc
 		for _, a := range arcs {
 			q := a.To
@@ -205,7 +198,7 @@ func (t *State) extractEssential(st *traceState, cnt *Counters, e EndpointID, m 
 		}
 		dst = append(dst, SeqEdge{Launch: launch, Capture: ep.Cell, Delay: st.foundVal[launch] - lat, Mode: m})
 	}
-	cnt.ExtractedEdges += int64(len(st.foundList))
+	t.Stats.ExtractedEdges += int64(len(st.foundList))
 	return dst
 }
 
@@ -214,10 +207,6 @@ func (t *State) extractEssential(st *traceState, cnt *Counters, e EndpointID, m 
 // the IC-CSS callback of [9]. All reachable endpoints are reported,
 // violating or not.
 func (t *State) ExtractAllFrom(launch netlist.CellID, m Mode, dst []SeqEdge) []SeqEdge {
-	return t.extractAllFrom(&t.trace, &t.Stats, launch, m, dst)
-}
-
-func (t *State) extractAllFrom(st *traceState, cnt *Counters, launch netlist.CellID, m Mode, dst []SeqEdge) []SeqEdge {
 	var src netlist.PinID
 	if t.ffIdx[launch] >= 0 {
 		src = t.D.FFQ(launch)
@@ -237,6 +226,7 @@ func (t *State) extractAllFrom(st *traceState, cnt *Counters, launch netlist.Cel
 		der = t.dEarly
 	}
 
+	st := &t.trace
 	st.reset(len(t.D.Pins), len(t.D.Cells))
 	st.set(src, 0)
 	st.stack = append(st.stack, src)
@@ -252,7 +242,7 @@ func (t *State) extractAllFrom(st *traceState, cnt *Counters, launch netlist.Cel
 			}
 			continue
 		}
-		cnt.ExtractArcVisits += int64(len(arcs))
+		t.Stats.ExtractArcVisits += int64(len(arcs))
 		for _, a := range arcs {
 			q := a.To
 			nd := dd + t.dIn[q]*der
@@ -274,7 +264,7 @@ func (t *State) extractAllFrom(st *traceState, cnt *Counters, launch netlist.Cel
 	for _, capture := range st.foundList {
 		dst = append(dst, SeqEdge{Launch: launch, Capture: capture, Delay: ld + st.foundVal[capture], Mode: m})
 	}
-	cnt.ExtractedEdges += int64(len(st.foundList))
+	t.Stats.ExtractedEdges += int64(len(st.foundList))
 	return dst
 }
 
@@ -302,10 +292,6 @@ func (t *State) launchDelay(launch netlist.CellID, m Mode) float64 {
 // by a full (unpruned) backward traversal — the latency-constraint edge
 // extraction of IC-CSS+ (§III-E ii).
 func (t *State) ExtractAllInto(capture netlist.CellID, m Mode, dst []SeqEdge) []SeqEdge {
-	return t.extractAllInto(&t.trace, &t.Stats, capture, m, dst)
-}
-
-func (t *State) extractAllInto(st *traceState, cnt *Counters, capture netlist.CellID, m Mode, dst []SeqEdge) []SeqEdge {
 	e := t.endpointOf[capture]
 	if e == NoEndpoint {
 		return dst
@@ -324,6 +310,7 @@ func (t *State) extractAllInto(st *traceState, cnt *Counters, capture netlist.Ce
 		der = t.dEarly
 	}
 
+	st := &t.trace
 	st.reset(len(t.D.Pins), len(t.D.Cells))
 	st.set(p0, 0)
 	st.stack = append(st.stack, p0)
@@ -339,7 +326,7 @@ func (t *State) extractAllInto(st *traceState, cnt *Counters, capture netlist.Ce
 			}
 			continue
 		}
-		cnt.ExtractArcVisits += int64(len(arcs))
+		t.Stats.ExtractArcVisits += int64(len(arcs))
 		ad := t.dIn[p] * der
 		for _, a := range arcs {
 			q := a.To
@@ -361,7 +348,7 @@ func (t *State) extractAllInto(st *traceState, cnt *Counters, capture netlist.Ce
 	for _, launch := range st.foundList {
 		dst = append(dst, SeqEdge{Launch: launch, Capture: capture, Delay: t.launchDelay(launch, m) + st.foundVal[launch], Mode: m})
 	}
-	cnt.ExtractedEdges += int64(len(st.foundList))
+	t.Stats.ExtractedEdges += int64(len(st.foundList))
 	return dst
 }
 

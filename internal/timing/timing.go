@@ -80,8 +80,7 @@ const eps = 1e-9
 // latencies, the per-pin arc delays, dirty queues and all per-session
 // scratch, layered over an immutable compiled *Graph (embedded, so graph
 // topology and tables read naturally as t.level, t.fwdArc, ...). Many States
-// may share one Graph concurrently; a State itself is single-threaded, and
-// only its batch extractors fan work out, to a pool sized per call.
+// may share one Graph concurrently; a State itself is single-threaded.
 type State struct {
 	*Graph
 
@@ -130,8 +129,6 @@ type State struct {
 	early     earlyLabels // ExtractAllIntoBoth's early labels
 	dout      []float64
 	doutValid bool
-
-	pool extractPool // batch-extraction worker scratch (batch.go)
 
 	// Cooperative-stop hook (see SetCheck). nil means never stop.
 	check func() bool
@@ -239,10 +236,12 @@ func (t *State) setDriverDelay(p netlist.PinID, load float64) {
 
 // SetCheck installs an amortized cooperative-stop hook (nil uninstalls).
 // While installed, long-running timer work probes it at coarse boundaries —
-// between level buckets during incremental Update and per trace root during
-// batch extraction — and returns early when it reports true. The hook must
-// be cheap and safe for concurrent calls (batch-extraction workers probe it
-// from their own goroutines); a context.Context's Err check qualifies.
+// between level buckets during incremental Update and before each trace
+// root during batch extraction — and returns early when it reports true.
+// The hook must be cheap, since a batch probes it once per root, and safe
+// for concurrent calls, since a CornerSet installs it on every corner and
+// updates the corners concurrently; a context.Context's Err check
+// qualifies.
 //
 // An aborted Update leaves the un-drained seeds queued in a resumable state:
 // clearing the hook and calling Update again completes propagation to

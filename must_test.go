@@ -5,7 +5,6 @@ import (
 
 	"iterskew"
 	"iterskew/internal/core"
-	"iterskew/internal/iccss"
 	"iterskew/internal/timing"
 )
 
@@ -34,15 +33,6 @@ func mustScheduleICCSS(tb testing.TB, tm *iterskew.Timer, o iterskew.ICCSSOption
 func mustCoreSchedule(tb testing.TB, tm *timing.State, o core.Options) *core.Result {
 	tb.Helper()
 	res, err := core.Schedule(tm, o)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return res
-}
-
-func mustICCSSSchedule(tb testing.TB, tm *timing.State, o iccss.Options) *iccss.Result {
-	tb.Helper()
-	res, err := iccss.Schedule(tm, o)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestUpdateZeroExtraAllocsWithRecorder(t *testing.T) {
 }
 
 // TestExtractZeroExtraAllocsWithRecorder does the same for the batch
-// extraction entry point (serial path, which shares the worker-span hooks).
+// extraction entry point, whose span and counters the recorder receives.
 func TestExtractZeroExtraAllocsWithRecorder(t *testing.T) {
 	tm := allocTimer(t)
 	viol := tm.ViolatedEndpoints(timing.Late, nil)
@@ -71,7 +71,7 @@ func TestExtractZeroExtraAllocsWithRecorder(t *testing.T) {
 	}
 	var buf []timing.SeqEdge
 	run := func() {
-		buf = tm.ExtractEssentialBatch(viol, timing.Late, 0, 1, buf[:0])
+		buf = tm.ExtractEssentialBatch(viol, timing.Late, 0, 0, buf[:0])
 	}
 	for k := 0; k < 5; k++ {
 		run()

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"iterskew"
-	"iterskew/internal/core"
 	"iterskew/internal/delay"
-	"iterskew/internal/iccss"
 	"iterskew/internal/netlist"
 	"iterskew/internal/timing"
 )
@@ -47,8 +45,7 @@ func sameEdges(t *testing.T, label string, a, b []timing.SeqEdge) {
 
 // TestBatchExtractionEquivalence verifies that every batch extractor produces
 // byte-identical edges — and identical instrumentation counters — to its
-// serial per-root loop, across generator seeds, both modes, and several
-// worker widths.
+// per-root loop, across generator seeds and both modes.
 func TestBatchExtractionEquivalence(t *testing.T) {
 	for _, seed := range equivSeeds {
 		d := equivDesign(t, 0.01, seed)
@@ -68,17 +65,14 @@ func TestBatchExtractionEquivalence(t *testing.T) {
 			sd.ExtractedEdges -= s0.ExtractedEdges
 			sd.ExtractArcVisits -= s0.ExtractArcVisits
 
-			for _, workers := range []int{2, 4, 8} {
-				b0 := tm.Stats
-				batch := tm.ExtractEssentialBatch(endpoints, mode, 0, workers, nil)
-				bd := tm.Stats
-				bd.ExtractedEdges -= b0.ExtractedEdges
-				bd.ExtractArcVisits -= b0.ExtractArcVisits
-				sameEdges(t, "essential", serial, batch)
-				if sd.ExtractedEdges != bd.ExtractedEdges || sd.ExtractArcVisits != bd.ExtractArcVisits {
-					t.Fatalf("essential stats: serial %+v vs batch %+v (seed %d mode %v workers %d)",
-						sd, bd, seed, mode, workers)
-				}
+			b0 := tm.Stats
+			batch := tm.ExtractEssentialBatch(endpoints, mode, 0, 0, nil)
+			bd := tm.Stats
+			bd.ExtractedEdges -= b0.ExtractedEdges
+			bd.ExtractArcVisits -= b0.ExtractArcVisits
+			sameEdges(t, "essential", serial, batch)
+			if sd.ExtractedEdges != bd.ExtractedEdges || sd.ExtractArcVisits != bd.ExtractArcVisits {
+				t.Fatalf("essential stats: serial %+v vs batch %+v (seed %d mode %v)", sd, bd, seed, mode)
 			}
 
 			// Full-cone extractors over every flip-flop.
@@ -88,61 +82,10 @@ func TestBatchExtractionEquivalence(t *testing.T) {
 				from = tm.ExtractAllFrom(ff, mode, from)
 				into = tm.ExtractAllInto(ff, mode, into)
 			}
-			fromB := tm.ExtractAllFromBatch(ffs, mode, 8, nil)
-			intoB := tm.ExtractAllIntoBatch(ffs, mode, 8, nil)
+			fromB := tm.ExtractAllFromBatch(ffs, mode, 0, nil)
+			intoB := tm.ExtractAllIntoBatch(ffs, mode, 0, nil)
 			sameEdges(t, "allFrom", from, fromB)
 			sameEdges(t, "allInto", into, intoB)
-		}
-	}
-}
-
-// TestScheduleWorkersEquivalence verifies the full schedulers are oblivious
-// to the batch-extraction width: core.Schedule and iccss.Schedule at
-// Workers=8 must reproduce the serial schedule exactly (targets, rounds,
-// edge counts).
-func TestScheduleWorkersEquivalence(t *testing.T) {
-	sameTargets := func(label string, a, b map[netlist.CellID]float64) {
-		t.Helper()
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d targets serial vs %d parallel", label, len(a), len(b))
-		}
-		for c, v := range a {
-			if w, ok := b[c]; !ok || math.Float64bits(v) != math.Float64bits(w) {
-				t.Fatalf("%s: cell %d target %v vs %v", label, c, v, w)
-			}
-		}
-	}
-	for _, seed := range equivSeeds[:2] {
-		for _, mode := range []timing.Mode{timing.Late, timing.Early} {
-			d := equivDesign(t, 0.01, seed)
-
-			run := func(workers int) *core.Result {
-				tm, err := timing.New(d.Clone(), delay.Default())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return mustCoreSchedule(t, tm, core.Options{Mode: mode, Workers: workers})
-			}
-			r1, r8 := run(1), run(8)
-			if r1.Rounds != r8.Rounds || r1.Cycles != r8.Cycles || r1.EdgesExtracted != r8.EdgesExtracted {
-				t.Fatalf("core seed %d %v: rounds/cycles/edges %d/%d/%d vs %d/%d/%d",
-					seed, mode, r1.Rounds, r1.Cycles, r1.EdgesExtracted, r8.Rounds, r8.Cycles, r8.EdgesExtracted)
-			}
-			sameTargets("core", r1.Target, r8.Target)
-
-			runIC := func(workers int) *iccss.Result {
-				tm, err := timing.New(d.Clone(), delay.Default())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return mustICCSSSchedule(t, tm, iccss.Options{Mode: mode, Workers: workers})
-			}
-			i1, i8 := runIC(1), runIC(8)
-			if i1.Rounds != i8.Rounds || i1.EdgesExtracted != i8.EdgesExtracted || i1.CriticalVerts != i8.CriticalVerts {
-				t.Fatalf("iccss seed %d %v: rounds/edges/crit %d/%d/%d vs %d/%d/%d",
-					seed, mode, i1.Rounds, i1.EdgesExtracted, i1.CriticalVerts, i8.Rounds, i8.EdgesExtracted, i8.CriticalVerts)
-			}
-			sameTargets("iccss", i1.Target, i8.Target)
 		}
 	}
 }

@@ -1,11 +1,10 @@
 // Microbenchmarks for the flat-kernel fast path: CSR propagation, the
-// parallel batch extractor, the allocation-lean incremental Update, and the
+// batch extractors, the allocation-lean incremental Update, and the
 // §IV optimization trials that drive it. All report allocs/op so benchstat
 // can track both time and GC pressure PR-over-PR.
 package iterskew_test
 
 import (
-	"fmt"
 	"testing"
 
 	"iterskew/internal/core"
@@ -33,32 +32,26 @@ func BenchmarkExtractEssentialBatch(b *testing.B) {
 	if len(viol) == 0 {
 		b.Skip("no violations")
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			var buf []timing.SeqEdge
-			for i := 0; i < b.N; i++ {
-				buf = tm.ExtractEssentialBatch(viol, timing.Late, 0, workers, buf[:0])
-			}
-			b.ReportMetric(float64(len(viol)), "endpoints")
-			b.ReportMetric(float64(len(buf)), "edges")
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var buf []timing.SeqEdge
+	for i := 0; i < b.N; i++ {
+		buf = tm.ExtractEssentialBatch(viol, timing.Late, 0, 0, buf[:0])
 	}
+	b.ReportMetric(float64(len(viol)), "endpoints")
+	b.ReportMetric(float64(len(buf)), "edges")
 }
 
 func BenchmarkExtractAllFromBatch(b *testing.B) {
 	tm := perfTimer(b)
 	ffs := tm.D.FFs
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			var buf []timing.SeqEdge
-			for i := 0; i < b.N; i++ {
-				buf = tm.ExtractAllFromBatch(ffs, timing.Late, workers, buf[:0])
-			}
-			b.ReportMetric(float64(len(buf)), "edges")
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var buf []timing.SeqEdge
+	for i := 0; i < b.N; i++ {
+		buf = tm.ExtractAllFromBatch(ffs, timing.Late, 0, buf[:0])
 	}
+	b.ReportMetric(float64(len(buf)), "edges")
 }
 
 // BenchmarkIncrementalUpdate times Update alone, which propagates arrival
